@@ -2,11 +2,10 @@
 
 Prices what supervision costs on a fault-free sweep: the supervised
 pool (persistent workers, per-cell dispatch, heartbeats, per-cell
-journalling) against the legacy whole-shard ``ProcessPoolExecutor``
-path and against a serial run of the same campaign. Supervision buys
-crash recovery, work stealing and exact resume; this benchmark keeps
-its price visible so a regression in the dispatch loop shows up as a
-number, not as a vague "sweeps feel slower".
+journalling) against a serial run of the same campaign. Supervision
+buys crash recovery, work stealing and exact resume; this benchmark
+keeps its price visible so a regression in the dispatch loop shows up
+as a number, not as a vague "sweeps feel slower".
 
 Non-gating: the script reports and records, it does not fail the
 build. Wall times of multiprocess sweeps on shared CI runners are too
@@ -57,8 +56,7 @@ def make_designs(runner: Runner, scale: float):
     ]
 
 
-def run_campaign(scale: float, trace_cache: str, *, workers: int,
-                 supervise: bool) -> float:
+def run_campaign(scale: float, trace_cache: str, *, workers: int) -> float:
     """One full campaign with a fresh journal; returns wall seconds.
 
     The shared trace cache is warmed before timing starts, so every
@@ -71,7 +69,7 @@ def run_campaign(scale: float, trace_cache: str, *, workers: int,
         workloads = [get_workload(name) for name in WORKLOADS]
         executor = SweepExecutor(
             runner, journal=Journal(Path(scratch) / "j.jsonl"),
-            workers=workers, supervise=supervise,
+            workers=workers,
         )
         start = time.perf_counter()
         result = executor.run(designs, workloads)
@@ -85,29 +83,23 @@ def run_campaign(scale: float, trace_cache: str, *, workers: int,
 
 
 def measure(scale: float, trace_cache: str, reps: int) -> dict:
-    """Min-of-reps wall time for serial, legacy-shard and supervised.
+    """Min-of-reps wall time for serial and supervised.
 
     Variants are interleaved (one rep of each per round) so slow
-    drift on a shared machine hits all three equally.
+    drift on a shared machine hits both equally.
     """
-    variants = {
-        "serial": dict(workers=1, supervise=True),
-        "legacy_shards": dict(workers=2, supervise=False),
-        "supervised": dict(workers=2, supervise=True),
-    }
+    variants = {"serial": 1, "supervised": 2}
     times: dict[str, list[float]] = {name: [] for name in variants}
     for _ in range(reps):
-        for name, kwargs in variants.items():
-            times[name].append(run_campaign(scale, trace_cache, **kwargs))
+        for name, workers in variants.items():
+            times[name].append(
+                run_campaign(scale, trace_cache, workers=workers)
+            )
     serial = min(times["serial"])
-    legacy = min(times["legacy_shards"])
     supervised = min(times["supervised"])
     return {
         "serial_s": round(serial, 3),
-        "legacy_shards_s": round(legacy, 3),
         "supervised_s": round(supervised, 3),
-        "supervised_vs_legacy_pct": round(
-            (supervised / legacy - 1.0) * 100.0, 2),
         "supervised_speedup_vs_serial": round(serial / supervised, 3),
         "reps": reps,
     }
@@ -147,10 +139,8 @@ def main(argv=None) -> int:
     Path(args.out).write_text(json.dumps(result, indent=2) + "\n")
     print(f"wrote {args.out}")
     print(f"  serial         {result['serial_s']:8.3f}s")
-    print(f"  legacy shards  {result['legacy_shards_s']:8.3f}s")
     print(f"  supervised     {result['supervised_s']:8.3f}s  "
-          f"({result['supervised_vs_legacy_pct']:+.1f}% vs legacy, "
-          f"{result['supervised_speedup_vs_serial']:.2f}x vs serial)")
+          f"({result['supervised_speedup_vs_serial']:.2f}x vs serial)")
     return 0
 
 

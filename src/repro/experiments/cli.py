@@ -13,16 +13,15 @@ Subcommands:
   result journal (``--journal``), exact resume (``--resume``), bounded
   retries (``--max-retries``), per-cell deadlines (``--cell-timeout``),
   keep-going semantics (``--keep-going``), and process-parallel
-  execution (``--workers N``; shared lower-level prefixes simulate
-  once per workload unless ``--no-share-prefixes``). With
+  execution (``--workers N``; a serial sweep simulates shared
+  lower-level prefixes once per workload). With
   ``--screen-analytic K`` the full grid is first triaged by the
   analytic reuse-profile engine and only each workload's top-K
   designs re-simulate exactly. Parallel runs use
-  the supervised worker pool by default — dead workers respawn up to
+  the supervised worker pool — dead workers respawn up to
   ``--max-worker-restarts``, cells that kill ``--poison-threshold``
   successive workers are quarantined as ``poisoned``, and SIGINT or
-  SIGTERM drains gracefully to an exact-resume journal
-  (``--no-supervise`` restores the legacy shard pool).
+  SIGTERM drains gracefully to an exact-resume journal.
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
   by a previous ``--telemetry DIR`` run (span digests, window files,
@@ -205,7 +204,6 @@ def _screen_designs(args, runner: Runner, designs, workloads, top_k: int):
         resume=args.resume,
         progress=ProgressReporter(len(designs) * len(workloads)),
         workers=args.workers,
-        supervise=args.supervise,
     )
     print(f"analytic screen: {len(designs)} design(s) x "
           f"{len(workloads)} workload(s), keeping top {top_k} per workload")
@@ -275,10 +273,8 @@ def _run_resilient_sweep(args, runner: Runner, workloads) -> int:
         resume=args.resume,
         progress=ProgressReporter(len(designs) * len(workloads)),
         workers=args.workers,
-        supervise=args.supervise,
         max_worker_restarts=args.max_worker_restarts,
         poison_threshold=args.poison_threshold,
-        share_prefixes=not args.no_share_prefixes,
         profile_hz=args.profile,
         profile_memory=args.profile_memory,
     )
@@ -543,13 +539,6 @@ def main(argv: list[str] | None = None) -> int:
         "pair with --trace-cache so workers share traced streams)",
     )
     sweep.add_argument(
-        "--supervise", action=argparse.BooleanOptionalAction,
-        default=True,
-        help="with --workers N, run the supervised worker pool (crash "
-        "recovery, work stealing, graceful drain; default). "
-        "--no-supervise falls back to the legacy shard pool",
-    )
-    sweep.add_argument(
         "--max-worker-restarts", type=int, default=3,
         help="total respawn budget for dead pool workers before the "
         "campaign degrades (default 3)",
@@ -566,11 +555,6 @@ def main(argv: list[str] | None = None) -> int:
         "re-simulate exactly only the union of each workload's top-K "
         "designs by EDP. Screening cells journal to "
         "<journal>.analytic; requires an exact --engine",
-    )
-    sweep.add_argument(
-        "--no-share-prefixes", action="store_true",
-        help="disable shared lower-level prefix simulation (designs "
-        "with config-identical L4 chains then simulate independently)",
     )
     sweep.add_argument(
         "--serve", type=int, nargs="?", const=0, default=None,

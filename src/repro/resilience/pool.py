@@ -1,14 +1,13 @@
 """Supervised persistent worker pool with work stealing.
 
-The shard-based pool in :mod:`repro.resilience.executor` has one blind
-spot: a worker *process* dying (OOM killer, scheduler SIGKILL) used to
-surface as ``BrokenProcessPool`` and abort the whole campaign — the
-one failure mode per-cell fault isolation cannot catch from inside the
-process. This module supervises the processes themselves:
+Per-cell fault isolation in :mod:`repro.resilience.executor` cannot
+catch one failure mode from inside the process: the worker *process*
+itself dying (OOM killer, scheduler SIGKILL). This pool, which runs
+every ``workers > 1`` campaign, supervises the processes themselves:
 
 - **work stealing** — workers pull *individual cells* from the
   parent's dispatch queue over per-worker pipes, so a fast worker
-  drains the tail instead of idling behind a static shard split;
+  drains the tail instead of idling behind a slow one;
 - **heartbeats** — each worker emits a heartbeat from a dedicated
   thread; silence past a timeout marks the process wedged even when
   the OS still reports it alive;
@@ -113,6 +112,9 @@ class PoolStats:
         spawned: worker processes started (initial + respawns).
         deaths: worker deaths observed (escalated or not).
         respawns: replacement workers started.
+        unreplaced: worker deaths the spent restart budget could not
+            replace while cells were still outstanding (the pool is
+            running down towards exhaustion).
         requeues: in-flight cells returned to the queue after a death.
         poisoned: cells quarantined for killing too many workers.
         escalations: hung-worker escalations begun.
@@ -123,6 +125,7 @@ class PoolStats:
     spawned: int = 0
     deaths: int = 0
     respawns: int = 0
+    unreplaced: int = 0
     requeues: int = 0
     poisoned: int = 0
     escalations: int = 0
@@ -243,7 +246,6 @@ def _pool_worker(conn, cancel_event, payload: dict) -> None:
             resume=False,
             evaluate=evaluate,
             telemetry=telemetry,
-            share_prefixes=False,
         )
         while True:
             try:
@@ -485,14 +487,16 @@ class SupervisedPool:
         the supervisor). The live observability plane's ``/readyz``
         endpoint folds this through
         :func:`repro.telemetry.live.pool_readiness`: an exhausted pool,
-        no live workers, or a live worker silent past the heartbeat
-        timeout (or already under watchdog escalation) flips readiness.
+        no live workers, a worker death the spent restart budget could
+        not replace, or a live worker silent past the heartbeat timeout
+        (or already under watchdog escalation) flips readiness.
 
         Returns a dict with ``workers`` (one entry per ever-spawned
         worker: label, alive, seconds since the last heartbeat, the
         in-flight cell key, and the watchdog escalation stage),
-        ``exhausted`` / ``drained`` flags, and the pool's heartbeat
-        timeout so the policy needs no back-channel to the tuning.
+        ``exhausted`` / ``drained`` flags, the ``unreplaced`` death
+        count, and the pool's heartbeat timeout so the policy needs no
+        back-channel to the tuning.
         """
         now = time.monotonic()
         workers = []
@@ -514,6 +518,7 @@ class SupervisedPool:
         return {
             "workers": workers,
             "exhausted": self._stats.exhausted,
+            "unreplaced": self._stats.unreplaced,
             "drained": self._stats.drained,
             "heartbeat_timeout_s": self.tuning.heartbeat_timeout_s,
         }
@@ -756,12 +761,12 @@ class SupervisedPool:
             else:
                 self._crash_cell(cell, handle, now)
         stopping = self._stats.drained or self._failed_fast
-        if (
-            not stopping
-            and self._pending
-            and self._stats.respawns < self.max_worker_restarts
-        ):
+        if stopping or not self._pending:
+            return
+        if self._stats.respawns < self.max_worker_restarts:
             self._spawn(replaces=handle.index)
+        else:
+            self._stats.unreplaced += 1
 
     def _crash_cell(
         self, cell: tuple, handle: _WorkerHandle, now: float

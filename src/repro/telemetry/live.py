@@ -30,7 +30,7 @@ directory:
                             :class:`~repro.telemetry.progress.ProgressReporter`.
   ``GET /healthz``          Liveness (always 200 while serving).
   ``GET /readyz``           Readiness: 503 when the supervised pool is
-                            exhausted, hung, or dead
+                            exhausted, degraded, hung, or dead
                             (:func:`pool_readiness`).
   ========================  ==========================================
 
@@ -457,8 +457,10 @@ def pool_readiness(snapshot: dict | None) -> tuple[bool, dict]:
 
     ``None`` (no pool running: serial campaign, detached serving, or
     the pool already finished) is idle-and-ready. A snapshot flips
-    readiness when the pool is exhausted, has no live workers left, or
-    any live worker is under watchdog escalation / silent past the
+    readiness when the pool is exhausted, has no live workers left, is
+    degraded (a worker died that the spent restart budget could not
+    replace, so the pool is running down towards exhaustion), or any
+    live worker is under watchdog escalation / silent past the
     heartbeat timeout while holding a cell.
     """
     if snapshot is None:
@@ -469,6 +471,8 @@ def pool_readiness(snapshot: dict | None) -> tuple[bool, dict]:
     live = [w for w in workers if w.get("alive")]
     if workers and not live:
         return False, {"state": "no_live_workers"}
+    if snapshot.get("unreplaced"):
+        return False, {"state": "degraded", "workers_alive": len(live)}
     timeout = float(snapshot.get("heartbeat_timeout_s") or 10.0)
     hung = [
         str(w.get("worker"))

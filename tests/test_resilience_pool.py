@@ -374,67 +374,6 @@ class TestPoolExhaustion:
         assert "pool_exhausted" in event_kinds(tmp_path / "tel")
 
 
-class TestLegacyShardRecovery:
-    def test_mid_shard_crash_keeps_finished_cells(
-        self, trace_cache, workloads, tmp_path
-    ):
-        """supervise=False: a worker SIGKILL mid-shard recovers the
-        shard's finished cells from the per-cell sidecar journal."""
-        runner = make_runner(trace_cache)
-        designs = make_designs(runner.reference)
-        # Each shard worker dies on its second cell, after journalling
-        # its first to the sidecar.
-        faults = FaultInjector().worker_kill(2)
-        journal = Journal(tmp_path / "j.jsonl")
-        result = SweepExecutor(
-            runner, journal=journal, workers=2, supervise=False,
-            worker_faults=faults,
-        ).run(designs, workloads)
-
-        ok = [o for o in result.outcomes if o.ok]
-        failed = [o for o in result.outcomes if o.status == "failed"]
-        assert ok, "sidecar recovery produced no finished cells"
-        assert failed
-        assert all("worker process failed" in o.error for o in failed)
-        assert not list(tmp_path.glob("j.jsonl.worker-*"))
-        recovered = journal.load()
-        for outcome in ok:
-            assert recovered[outcome.key].status == "ok"
-
-        # Resume completes the crashed cells and reuses the rest.
-        again = SweepExecutor(
-            make_runner(trace_cache), journal=journal, workers=2,
-            supervise=False,
-        ).run(designs, workloads)
-        assert all(o.ok for o in again.outcomes), again.report()
-        assert sum(1 for o in again.outcomes if o.from_journal) == len(ok)
-
-    def test_stale_sidecars_absorbed_on_resume(self, trace_cache,
-                                               workloads, tmp_path):
-        """A dead *parent* leaves sidecars behind; the next campaign
-        folds them into the main journal before resuming."""
-        runner = make_runner(trace_cache)
-        designs = make_designs(runner.reference)
-        journal = Journal(tmp_path / "j.jsonl")
-        done = SweepExecutor(
-            runner, journal=Journal(tmp_path / "donor.jsonl")
-        ).run(designs, workloads[:1])
-        # Fabricate the post-crash state: results only in a sidecar.
-        donor = Journal(tmp_path / "donor.jsonl")
-        sidecar = Journal(f"{journal.path}.worker-0")
-        for entry in donor.entries():
-            sidecar.append(entry)
-
-        result = SweepExecutor(
-            make_runner(trace_cache), journal=journal, workers=2,
-            pool_tuning=FAST_TUNING,
-        ).run(designs, workloads)
-        assert all(o.ok for o in result.outcomes)
-        reused = [o for o in result.outcomes if o.from_journal]
-        assert len(reused) == len(done.outcomes)
-        assert not list(tmp_path.glob("j.jsonl.worker-*"))
-
-
 class TestLiveObservability:
     def test_sse_client_sees_chaos_exactly_once_across_reconnect(
         self, trace_cache, workloads, tmp_path

@@ -12,7 +12,7 @@ from repro.designs.configs import EH_CONFIGS, N_CONFIGS
 from repro.designs.fourlc import FourLCDesign
 from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.nmm import NMMDesign
-from repro.errors import ConfigError
+from repro.errors import ConfigError, SweepError
 from repro.experiments.runner import Runner
 from repro.experiments.sweep import run_sweep
 from repro.resilience import Journal, SweepExecutor
@@ -147,19 +147,52 @@ class TestParallelResume:
         assert all(o.ok for o in resumed.outcomes)
 
 
+def make_boom(reference):
+    boom = ExplodingDesign(PCM, N_CONFIGS["N6"], scale=SCALE,
+                           reference=reference)
+    boom.name = "BOOM"
+    return boom
+
+
 class TestParallelFaultIsolation:
-    def test_bad_cell_does_not_sink_the_shard(self, trace_cache, workloads):
+    def test_bad_cell_does_not_sink_the_pool(self, trace_cache, workloads):
         runner = make_runner(trace_cache)
-        boom = ExplodingDesign(PCM, N_CONFIGS["N6"], scale=SCALE,
-                               reference=runner.reference)
-        boom.name = "BOOM"
-        designs = make_designs(runner.reference) + [boom]
+        designs = make_designs(runner.reference) + [
+            make_boom(runner.reference)
+        ]
         result = SweepExecutor(runner, workers=2).run(designs, workloads)
         bad = [o for o in result.outcomes if o.design == "BOOM"]
         good = [o for o in result.outcomes if o.design != "BOOM"]
         assert bad and all(o.status == "failed" for o in bad)
         assert all("injected lower-cache failure" in o.error for o in bad)
         assert good and all(o.ok for o in good)
+
+
+class TestParallelFailFast:
+    def test_run_sweep_raises_naming_the_cell(self, trace_cache, workloads):
+        runner = make_runner(trace_cache)
+        designs = [make_boom(runner.reference)] + make_designs(
+            runner.reference
+        )
+        with pytest.raises(SweepError, match=r"cell BOOM/(CG|SP) failed"):
+            run_sweep(runner, designs, workloads, workers=2)
+
+    def test_remaining_cells_are_skipped(self, trace_cache, workloads):
+        runner = make_runner(trace_cache)
+        designs = [make_boom(runner.reference)] + make_designs(
+            runner.reference
+        )
+        result = SweepExecutor(runner, workers=2, keep_going=False).run(
+            designs, workloads
+        )
+        # Both workers start on a BOOM cell; the first failure stops
+        # dispatch, so every healthy cell is skipped.
+        failed = [o for o in result.outcomes if o.status == "failed"]
+        skipped = [o for o in result.outcomes if o.status == "skipped"]
+        assert [o.design for o in failed] == ["BOOM", "BOOM"]
+        assert len(skipped) == 6
+        assert all(o.design != "BOOM" for o in skipped)
+        assert all("keep_going is off" in o.error for o in skipped)
 
 
 class TestValidation:

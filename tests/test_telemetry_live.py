@@ -322,6 +322,17 @@ class TestPoolReadiness:
         ready, detail = pool_readiness(snapshot)
         assert not ready and detail["state"] == "no_live_workers"
 
+    def test_unreplaced_death_flips(self):
+        # the restart budget is spent and a worker died with cells left
+        snapshot = {"exhausted": False, "unreplaced": 1, "workers": [
+            {"worker": "worker-0", "alive": False, "beat_age_s": 0.1},
+            {"worker": "worker-1", "alive": True, "beat_age_s": 0.1,
+             "stage": None, "inflight": "cell"},
+        ]}
+        ready, detail = pool_readiness(snapshot)
+        assert not ready
+        assert detail == {"state": "degraded", "workers_alive": 1}
+
     def test_escalating_worker_flips(self):
         snapshot = {"exhausted": False, "heartbeat_timeout_s": 10.0,
                     "workers": [

@@ -336,20 +336,6 @@ class TestExecutorArena:
         assert parallel_ev.time_norm == serial.time_norm
         assert parallel_ev.energy_j == serial.energy_j
 
-    def test_share_traces_off_still_runs(self, tmp_path):
-        from repro.designs.reference import ReferenceDesign
-        from repro.experiments.runner import Runner
-        from repro.resilience import SweepExecutor
-        from repro.workloads.registry import get_workload
-
-        scale = 1.0 / 8192
-        runner = Runner(scale=scale, seed=4, trace_cache_dir=str(tmp_path))
-        executor = SweepExecutor(runner, workers=2, share_traces=False)
-        result = executor.run(
-            [ReferenceDesign(scale=scale)], [get_workload("CG")]
-        )
-        assert all(o.ok for o in result.outcomes)
-
     def test_runner_prefers_arena_handle(self, tmp_path, chunky_stream):
         from repro.experiments.runner import Runner
 
