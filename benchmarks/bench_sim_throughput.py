@@ -168,7 +168,7 @@ def measure_sequential(runner: Runner, reps: int) -> dict:
     requests = len(trace.post_l3)
     return {
         "workload": SEQUENTIAL_WORKLOAD,
-        "design": design.sim_key(),
+        "design": design.name,
         "requests": requests,
         "sim_s": round(best, 6),
         "requests_per_sec": round(requests / best),

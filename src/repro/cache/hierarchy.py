@@ -189,11 +189,7 @@ class Hierarchy:
 
     def stats(self) -> HierarchyStats:
         """Current accumulated statistics, top to bottom."""
-        levels = [c.stats for c in self.caches]
-        if isinstance(self.memory, PartitionedMemory):
-            levels = levels + self.memory.stats_list
-        else:
-            levels = levels + [self.memory.stats]
+        levels = [c.stats for c in self.caches] + self.memory.stats_list
         return HierarchyStats(levels=levels, references=self._references)
 
     def reset(self) -> None:

@@ -23,6 +23,12 @@ class MainMemory:
         """Device label."""
         return self.stats.name
 
+    @property
+    def stats_list(self) -> list[LevelStats]:
+        """The device's stats as a one-level list (the shape
+        :attr:`PartitionedMemory.stats_list` has for several devices)."""
+        return [self.stats]
+
     def process(self, batch: AccessBatch) -> AccessBatch:
         """Absorb a request batch; returns an empty downstream batch."""
         n = len(batch)

@@ -147,7 +147,8 @@ class MemoryDesign(ABC):
             ``"scalar"`` or ``"setpar"``), applied to every level the
             design builds. Engines are bit-identical — this knob only
             affects simulation speed, never statistics — so it is
-            deliberately *not* part of :meth:`sim_key`.
+            deliberately *not* part of
+            :func:`~repro.experiments.simplan.sim_key`.
     """
 
     def __init__(
@@ -187,17 +188,6 @@ class MemoryDesign(ABC):
             footprint_bytes: the workload's *full-size* footprint —
                 sizes footprint-dependent devices (baseline DRAM, NVM).
         """
-
-    def sim_key(self) -> str:
-        """Identity of the design's *simulation behaviour*.
-
-        Two designs with the same sim key produce identical hierarchy
-        statistics on the same stream (e.g. NMM with PCM vs STT-RAM —
-        the terminal technology changes only the model bindings, not
-        the data movement). The experiment runner uses this to share
-        simulations across the technology axis of a sweep.
-        """
-        return self.name
 
     # -- common machinery -------------------------------------------------
 

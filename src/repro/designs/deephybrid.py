@@ -77,9 +77,6 @@ class DeepHybridDesign(MemoryDesign):
         self.l4_config_row = l4_config
         self.dram_config_row = dram_config
 
-    def sim_key(self) -> str:
-        return f"DEEP-{self.l4_config_row.name}-{self.dram_config_row.name}"
-
     def lower_caches(self) -> list[SetAssociativeCache]:
         l4 = CacheConfig(
             self.L4_LEVEL,

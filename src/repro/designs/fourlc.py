@@ -52,9 +52,6 @@ class FourLCDesign(MemoryDesign):
         self.cache_tech = cache_tech
         self.config = config
 
-    def sim_key(self) -> str:
-        return f"4LC-{self.config.name}"
-
     def l4_config(self) -> CacheConfig:
         """Full-size L4 cache configuration (line-granularity dirty
         tracking, page-granularity allocation/fills)."""

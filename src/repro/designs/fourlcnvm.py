@@ -56,9 +56,6 @@ class FourLCNVMDesign(MemoryDesign):
         self.nvm_tech = nvm_tech
         self.config = config
 
-    def sim_key(self) -> str:
-        return f"4LCNVM-{self.config.name}"
-
     def l4_config(self) -> CacheConfig:
         """Full-size L4 cache configuration (line-granularity dirty
         tracking, page-granularity allocation/fills)."""

@@ -55,10 +55,6 @@ class NDMDesign(MemoryDesign):
         self.nvm_ranges = list(nvm_ranges)
         self.dram_capacity = dram_capacity
 
-    def sim_key(self) -> str:
-        ranges = ",".join(f"{r.start:#x}-{r.end:#x}" for r in self.nvm_ranges)
-        return f"NDM[{ranges}]"
-
     def lower_caches(self) -> list[SetAssociativeCache]:
         return []
 

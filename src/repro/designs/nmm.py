@@ -51,9 +51,6 @@ class NMMDesign(MemoryDesign):
         self.nvm_tech = nvm_tech
         self.config = config
 
-    def sim_key(self) -> str:
-        return f"NMM-{self.config.name}"
-
     def dram_cache_config(self) -> CacheConfig:
         """Full-size DRAM cache configuration.
 

@@ -11,7 +11,12 @@
 """
 
 from repro.experiments.runner import Runner, WorkloadTrace
-from repro.experiments.simplan import CapturingCache, SimPlan, config_key
+from repro.experiments.simplan import (
+    CapturingCache,
+    SimPlan,
+    config_key,
+    sim_key,
+)
 from repro.experiments.sweep import (
     SweepRecord,
     SweepSummary,
@@ -58,6 +63,7 @@ __all__ = [
     "SimPlan",
     "CapturingCache",
     "config_key",
+    "sim_key",
     "FigureSeries",
     "figure1",
     "figure2",

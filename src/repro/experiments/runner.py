@@ -20,16 +20,16 @@ invalidations, as in the paper's simulator).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
 from repro.cache.mainmem import MainMemory
-from repro.cache.partition import PartitionedMemory
 from repro.cache.stats import HierarchyStats, LevelStats
 from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import DEFAULT_SCALE, NDM_DRAM_CAPACITY
 from repro.designs.ndm import NDMDesign
 from repro.designs.reference import ReferenceDesign
+from repro.experiments.simplan import SimPlan, sim_key
 from repro.model.evaluate import (
     Evaluation,
     RawEvaluation,
@@ -50,6 +50,32 @@ from repro.workloads.base import TraceResult, Workload
 #: is silent by default); enable progress lines on long runs with
 #: ``logging.getLogger("repro").setLevel(logging.INFO)`` plus a handler.
 logger = logging.getLogger("repro.experiments")
+
+
+def _chain_stats(caches: list, memory) -> list[LevelStats]:
+    """Live stats of a lower chain: its caches, then its memory devices."""
+    return [cache.stats for cache in caches] + memory.stats_list
+
+
+def _with_memory_names(
+    stats: HierarchyStats, design: MemoryDesign
+) -> HierarchyStats:
+    """``stats`` with its terminal-memory levels named as ``design``'s.
+
+    Memoized stats carry the names of the first design simulated under
+    their key; cache level names are part of the key, so only the
+    terminal devices can differ.
+    """
+    names = [s.name for s in design.memory().stats_list]
+    cut = len(stats.levels) - len(names)
+    if stats.level_names[cut:] == names:
+        return stats
+    return HierarchyStats(
+        levels=stats.levels[:cut] + [
+            replace(s, name=name) for s, name in zip(stats.levels[cut:], names)
+        ],
+        references=stats.references,
+    )
 
 
 class CapturingMemory(MainMemory):
@@ -180,11 +206,6 @@ class Runner:
             traffic belongs to exact accounting) and with the
             ``analytic`` engine (a different approximation; compose
             intentionally, not accidentally).
-        trace_arena: published trace handles keyed by workload name
-            (see :class:`repro.trace.arena.TraceArena`). A workload
-            found here is attached zero-copy instead of re-traced or
-            loaded from the cache — how parallel sweep workers share
-            one physical trace copy.
     """
 
     def __init__(
@@ -198,7 +219,6 @@ class Runner:
         telemetry: Telemetry | NullTelemetry | None = None,
         engine: str = "auto",
         sample: "SampleSpec | str | None" = None,
-        trace_arena: "dict | None" = None,
     ) -> None:
         if local_factor < 0:
             raise ValueError("local_factor must be non-negative")
@@ -226,7 +246,6 @@ class Runner:
                     "end-of-stream drain accounting requires an exact run"
                 )
         self.sample = sample
-        self.trace_arena = trace_arena
         self.scale = scale
         self.seed = seed
         self.reference = reference or ReferenceSystem.sandy_bridge()
@@ -242,7 +261,9 @@ class Runner:
         #: ``{"cached": True}``).
         self.trace_cache_dir = trace_cache_dir
         self._traces: dict[str, WorkloadTrace] = {}
-        self._design_stats: dict[tuple[str, str], HierarchyStats] = {}
+        #: Stats per ``(sim_key(design), workload name)``, level names
+        #: as the first design simulated under that key had them.
+        self._design_stats: dict[tuple[tuple, str], HierarchyStats] = {}
         self._analytic_engines: dict[str, "AnalyticEngine"] = {}
         self._profiles: dict[tuple[str, int, int], "GranularityProfile"] = {}
 
@@ -264,16 +285,6 @@ class Runner:
         return f"{workload.name}-s{self.scale:g}-r{self.seed}".replace("/", "_")
 
     def _load_cached_trace(self, workload: Workload) -> TraceResult | None:
-        if self.trace_arena:
-            handle = self.trace_arena.get(workload.name)
-            if handle is not None:
-                stream, regions = handle.attach()
-                tracer = Tracer()
-                tracer.regions.extend(regions)
-                tracer.stream = stream
-                return TraceResult(
-                    stream=stream, tracer=tracer, checks={"cached": True}
-                )
         if not self.trace_cache_dir:
             return None
         from pathlib import Path
@@ -353,11 +364,9 @@ class Runner:
         """Obtain a workload's trace without simulating anything.
 
         Returns ``(result, cached)`` where ``cached`` says whether the
-        trace came from the arena or the on-disk cache instead of a
-        fresh trace (which is stored to the cache on the way out).
-        Used by the sweep executor to publish each workload's trace to
-        the shared arena before forking workers; :meth:`prepare` runs
-        the same path before the upper-level simulation.
+        trace came from the on-disk cache instead of a fresh trace
+        (which is stored to the cache on the way out). :meth:`prepare`
+        runs the same path before the upper-level simulation.
         """
         telemetry = self._telemetry()
         trace_span = telemetry.span("runner.trace", workload=workload.name)
@@ -477,7 +486,7 @@ class Runner:
                 post_l3_segments=segments,
             )
             self._traces[key] = trace
-            self._design_stats[("REF", key)] = ref_stats
+            self._design_stats[(sim_key(ref_design), key)] = ref_stats
             telemetry.gauge(
                 "repro_captured_stream_requests", stage="post_l3", workload=key
             ).set(len(capture.captured))
@@ -653,29 +662,20 @@ class Runner:
         self._analytic_engines[key] = engine
         return engine
 
-    def _analytic_stats_for(
-        self, design: MemoryDesign, workload: Workload
-    ) -> HierarchyStats:
-        key = (design.sim_key(), workload.name)
-        trace = self.prepare(workload)
-        if key in self._design_stats:
-            return self._design_stats[key]
+    def _analytic_lower(
+        self, design: MemoryDesign, workload: Workload, trace: WorkloadTrace
+    ) -> list[LevelStats]:
+        """Lower-level stats from the analytic reuse-profile engine."""
         engine = self._analytic_for(workload)
-        telemetry = self._telemetry()
-        with telemetry.span(
-            "runner.analytic_eval", design=design.sim_key(),
+        with self._telemetry().span(
+            "runner.analytic_eval", design=design.name,
             workload=workload.name,
         ):
             lower_stats = engine.lower_stats(design, drain=self.drain)
-        stats = HierarchyStats(
-            levels=trace.upper_stats + lower_stats,
-            references=trace.references,
-        )
-        self._design_stats[key] = stats
         logger.debug(
-            "analytically evaluated %s on %s", design.sim_key(), workload.name
+            "analytically evaluated %s on %s", design.name, workload.name
         )
-        return stats
+        return lower_stats
 
     # ------------------------------------------------------------------
     # Design evaluation
@@ -685,9 +685,12 @@ class Runner:
         """Full hierarchy statistics for a design on a workload (cached).
 
         Runs only the design's lower levels on the cached post-L3
-        stream; the shared upper-level stats are prepended. The replay
-        routes every batch through
-        :func:`~repro.cache.hierarchy.run_chain`, so the same
+        stream; the shared upper-level stats are prepended. The memo is
+        keyed by :func:`~repro.experiments.simplan.sim_key`, so designs
+        that simulate the same thing share one run; a design whose
+        terminal memory is named differently gets the shared stats
+        with those levels renamed. The replay routes every batch
+        through :func:`~repro.cache.hierarchy.run_chain`, so the same
         ``check_request_sizes`` guard as ``Hierarchy.process_batch``
         applies — a design whose lower chain shrinks block sizes
         downward raises :class:`~repro.errors.SimulationError` here
@@ -697,30 +700,37 @@ class Runner:
         default leaves residual dirty lines unflushed — the steady-
         state accounting choice documented on :class:`Runner`.
         """
-        if self.engine == "analytic":
-            return self._analytic_stats_for(design, workload)
-        if self.sample is not None:
-            return self._sampled_stats_for(design, workload)
-        key = (design.sim_key(), workload.name)
-        if key in self._design_stats:
-            return self._design_stats[key]
-        trace = self.prepare(workload)
+        trace = self.prepare(workload)  # also seeds REF's memo entry
+        key = (sim_key(design), workload.name)
+        stats = self._design_stats.get(key)
+        if stats is None:
+            if self.engine == "analytic":
+                lower = self._analytic_lower(design, workload, trace)
+            elif self.sample is not None:
+                lower = self._sampled_lower(design, workload, trace)
+            else:
+                lower = self._exact_lower(design, workload, trace)
+            stats = self._design_stats[key] = HierarchyStats(
+                levels=trace.upper_stats + lower,
+                references=trace.references,
+            )
+        return _with_memory_names(stats, design)
+
+    def _exact_lower(
+        self, design: MemoryDesign, workload: Workload, trace: WorkloadTrace
+    ) -> list[LevelStats]:
+        """Exact replay of the post-L3 stream through the lower levels."""
         telemetry = self._telemetry()
         lower = design.lower_caches()
         memory = design.memory()
-
-        def lower_levels():
-            if isinstance(memory, PartitionedMemory):
-                return [cache.stats for cache in lower] + memory.stats_list
-            return [cache.stats for cache in lower] + [memory.stats]
-
         collector = None
         if telemetry.enabled:
             collector = telemetry.window_collector(
-                f"design-{design.sim_key()}-{workload.name}", lower_levels
+                f"design-{design.name}-{workload.name}",
+                lambda: _chain_stats(lower, memory),
             )
         with telemetry.span(
-            "runner.design_sim", design=design.sim_key(),
+            "runner.design_sim", design=design.name,
             workload=workload.name,
         ):
             for chunk in trace.post_l3.chunks():
@@ -731,33 +741,19 @@ class Runner:
                 drain_chain(lower, memory)
         if collector is not None:
             telemetry.finish_collector(collector)
-        lower_stats = [cache.stats for cache in lower]
-        if isinstance(memory, PartitionedMemory):
-            memory_stats = memory.stats_list
-        else:
-            memory_stats = [memory.stats]
-        stats = HierarchyStats(
-            levels=trace.upper_stats + lower_stats + memory_stats,
-            references=trace.references,
-        )
-        self._design_stats[key] = stats
-        logger.debug("simulated %s on %s", design.sim_key(), workload.name)
-        return stats
+        logger.debug("simulated %s on %s", design.name, workload.name)
+        return _chain_stats(lower, memory)
 
-    def _sampled_stats_for(
-        self, design: MemoryDesign, workload: Workload
-    ) -> HierarchyStats:
+    def _sampled_lower(
+        self, design: MemoryDesign, workload: Workload, trace: WorkloadTrace
+    ) -> list[LevelStats]:
         """Sampled lower-level replay with extrapolated statistics.
 
         Replays the captured (warmup + window) post-L3 segments through
         the design's lower levels — warmup segments warm cache state,
         measured segments' counter deltas are scaled by the trace's
-        extrapolation factor — and prepends the (already extrapolated)
-        shared upper stats.
+        extrapolation factor.
         """
-        key = (design.sim_key(), workload.name)
-        if key in self._design_stats:
-            return self._design_stats[key]
         from repro.experiments.sampling import (
             add_levels,
             delta_levels,
@@ -766,45 +762,32 @@ class Runner:
             snapshot_levels,
         )
 
-        trace = self.prepare(workload)
-        telemetry = self._telemetry()
         lower = design.lower_caches()
         memory = design.memory()
-
-        def live_levels() -> list[LevelStats]:
-            if isinstance(memory, PartitionedMemory):
-                return [cache.stats for cache in lower] + memory.stats_list
-            return [cache.stats for cache in lower] + [memory.stats]
-
         acc = None
-        with telemetry.span(
-            "runner.design_sim", design=design.sim_key(),
+        with self._telemetry().span(
+            "runner.design_sim", design=design.name,
             workload=workload.name, sampled=True,
         ):
             for batch, measured in iter_recorded_segments(
                 trace.post_l3, trace.post_l3_segments
             ):
                 if measured:
-                    before = snapshot_levels(live_levels())
+                    before = snapshot_levels(_chain_stats(lower, memory))
                 run_chain(batch, lower, memory)
                 if measured:
                     acc = add_levels(
-                        acc, delta_levels(live_levels(), before)
+                        acc, delta_levels(_chain_stats(lower, memory), before)
                     )
-        lower_stats = scale_levels(
-            acc if acc is not None else snapshot_levels(live_levels()),
-            trace.sample_factor,
-        )
-        stats = HierarchyStats(
-            levels=trace.upper_stats + lower_stats,
-            references=trace.references,
-        )
-        self._design_stats[key] = stats
         logger.debug(
             "sampled-simulated %s on %s (fidelity %.3f)",
-            design.sim_key(), workload.name, trace.sample_fidelity,
+            design.name, workload.name, trace.sample_fidelity,
         )
-        return stats
+        return scale_levels(
+            acc if acc is not None
+            else snapshot_levels(_chain_stats(lower, memory)),
+            trace.sample_factor,
+        )
 
     def simulate_designs(
         self, designs: list[MemoryDesign], workload: Workload
@@ -816,54 +799,45 @@ class Runner:
         cached post-L3 stream: lower-level chains that start with
         config-identical levels (every 4LC/4LC-NVM point shares the
         same L4) simulate that prefix once. Results land in the same
-        per-``sim_key`` statistics cache that :meth:`stats_for` reads,
-        so subsequent per-design calls are hits — the statistics are
+        per-``sim_key`` memo that :meth:`stats_for` reads, so
+        subsequent per-design calls are hits — the statistics are
         bit-identical to what :meth:`stats_for` would have produced
         (see :mod:`repro.experiments.simplan` for the exactness
         argument).
         """
-        if self.engine == "analytic":
-            # No streams to share — each design is already O(1) passes.
+        if self.engine == "analytic" or self.sample is not None:
+            # Analytic: no streams to share — each design is already
+            # O(1) passes. Sampled: snapshot/delta windows are
+            # per-chain state; replay each design's (short, sampled)
+            # stream independently.
             for design in designs:
-                self._analytic_stats_for(design, workload)
-            return
-        if self.sample is not None:
-            # Snapshot/delta windows are per-chain state; replay each
-            # design's (short, sampled) stream independently.
-            for design in designs:
-                self._sampled_stats_for(design, workload)
-            return
-        from repro.experiments.simplan import SimPlan
-
-        todo = []
-        seen: set[str] = set()
-        for design in designs:
-            sim_key = design.sim_key()
-            if sim_key in seen or (sim_key, workload.name) in self._design_stats:
-                continue
-            seen.add(sim_key)
-            todo.append(design)
-        if not todo:
+                self.stats_for(design, workload)
             return
         trace = self.prepare(workload)
+        todo = [
+            design for design in designs
+            if (sim_key(design), workload.name) not in self._design_stats
+        ]
+        if not todo:
+            return
         telemetry = self._telemetry()
         plan = SimPlan(todo)
         with telemetry.span(
             "runner.plan_sim", workload=workload.name,
-            designs=len(todo), shared_levels=plan.shared_levels,
+            designs=plan.sim_count, shared_levels=plan.shared_levels,
         ):
             results = plan.execute(
                 trace.post_l3, drain=self.drain,
                 telemetry=telemetry, workload=workload.name,
             )
-        for sim_key, lower_stats in results.items():
-            self._design_stats[(sim_key, workload.name)] = HierarchyStats(
+        for key, lower_stats in results.items():
+            self._design_stats[(key, workload.name)] = HierarchyStats(
                 levels=trace.upper_stats + lower_stats,
                 references=trace.references,
             )
         logger.info(
             "plan-simulated %d design(s) on %s (%d shared level(s))",
-            len(todo), workload.name, plan.shared_levels,
+            plan.sim_count, workload.name, plan.shared_levels,
         )
 
     def raw_for(self, design: MemoryDesign, workload: Workload) -> RawEvaluation:

@@ -64,6 +64,36 @@ def config_key(config: CacheConfig) -> tuple:
     return dataclasses.astuple(dataclasses.replace(config, engine="auto"))
 
 
+def sim_key(design: "MemoryDesign") -> tuple:
+    """Identity of a design's lower-level simulation behaviour.
+
+    The one definition of "these designs simulate the same thing": the
+    lower cache chain (each level's type and :func:`config_key`) plus
+    the terminal memory's routing layout. Device names and technology
+    bindings are left out — they change how the model prices the
+    traffic, not the traffic itself — so e.g. 4LC and 4LCNVM points
+    with the same L4 share one key, as do NMM points that differ only
+    in NVM technology. Cache level names are part of ``config_key``.
+
+    Builds the design's (cold) lower levels, so a design that fails to
+    build fails here.
+    """
+    chain = tuple(
+        (type(cache), config_key(cache.config))
+        for cache in design.lower_caches()
+    )
+    memory = design.memory()
+    if isinstance(memory, PartitionedMemory):
+        layout = (
+            tuple((r.start, r.end, r.device_index) for r in memory.rules),
+            len(memory.devices),
+            memory.default_device,
+        )
+    else:
+        layout = ("single",)
+    return chain, layout
+
+
 class CapturingCache(SetAssociativeCache):
     """A cache level that records every batch it emits downward.
 
@@ -108,7 +138,8 @@ class _PlanNode:
     def __init__(self, config: CacheConfig | None = None) -> None:
         self.config = config
         self.children: dict[tuple, "_PlanNode"] = {}
-        self.designs: list["MemoryDesign"] = []
+        #: ``(sim_key, design)`` pairs whose chain ends at this node.
+        self.designs: list[tuple[tuple, "MemoryDesign"]] = []
 
     def design_count(self) -> int:
         """Designs attached in this subtree."""
@@ -117,18 +148,12 @@ class _PlanNode:
         )
 
 
-def _memory_stats(memory) -> list[LevelStats]:
-    if isinstance(memory, PartitionedMemory):
-        return memory.stats_list
-    return [memory.stats]
-
-
 class SimPlan:
     """A shared-prefix simulation plan over a set of designs.
 
     Args:
         designs: the designs to simulate together. Designs sharing a
-            ``sim_key()`` are simulation-identical and collapse to one
+            :func:`sim_key` are simulation-identical and collapse to one
             representative; designs whose lower chains contain
             non-standard cache types (anything that is not exactly a
             :class:`SetAssociativeCache`) cannot be regrouped safely
@@ -141,25 +166,25 @@ class SimPlan:
     def __init__(self, designs: Iterable["MemoryDesign"]) -> None:
         self.designs = list(designs)
         self._root = _PlanNode()
-        self._direct: list["MemoryDesign"] = []
-        seen: set[str] = set()
+        self._direct: list[tuple[tuple, "MemoryDesign"]] = []
+        seen: set[tuple] = set()
         for design in self.designs:
-            sim_key = design.sim_key()
-            if sim_key in seen:
+            key = sim_key(design)
+            if key in seen:
                 continue
-            seen.add(sim_key)
+            seen.add(key)
             lower = design.lower_caches()
             if any(type(cache) is not SetAssociativeCache for cache in lower):
-                self._direct.append(design)
+                self._direct.append((key, design))
                 continue
             node = self._root
             for cache in lower:
-                key = config_key(cache.config)
-                child = node.children.get(key)
+                level_key = config_key(cache.config)
+                child = node.children.get(level_key)
                 if child is None:
-                    child = node.children[key] = _PlanNode(cache.config)
+                    child = node.children[level_key] = _PlanNode(cache.config)
                 node = child
-            node.designs.append(design)
+            node.designs.append((key, design))
 
     # -- reporting ------------------------------------------------------
 
@@ -197,8 +222,8 @@ class SimPlan:
                 walk(child, depth + 1)
 
         walk(self._root, 0)
-        for design in self._direct:
-            lines.append(f"{design.sim_key()} [direct]")
+        for _, design in self._direct:
+            lines.append(f"{design.name} [direct]")
         return "\n".join(lines) or "(terminal memories only)"
 
     # -- execution ------------------------------------------------------
@@ -210,14 +235,15 @@ class SimPlan:
         drain: bool = False,
         telemetry: Telemetry | NullTelemetry | None = None,
         workload: str = "",
-    ) -> dict[str, list[LevelStats]]:
+    ) -> dict[tuple, list[LevelStats]]:
         """Simulate every design's lower levels on ``stream``.
 
         Shared prefixes run once; each level's output is captured and
-        replayed into the subtree below it. Returns, per ``sim_key``,
+        replayed into the subtree below it. Returns, per :func:`sim_key`,
         the list of lower-level statistics (cache levels in chain
-        order, then terminal memory levels) ready to be appended to the
-        shared upper-level statistics.
+        order, then terminal memory levels, named after the first
+        design with that key) ready to be appended to the shared
+        upper-level statistics.
 
         Args:
             stream: the post-L3 request stream (block requests).
@@ -228,18 +254,18 @@ class SimPlan:
             workload: label for telemetry gauges/events.
         """
         tel = telemetry if telemetry is not None else get_active()
-        results: dict[str, list[LevelStats]] = {}
+        results: dict[tuple, list[LevelStats]] = {}
         self._walk(self._root, stream, [], results, drain, tel, workload)
-        for design in self._direct:
+        for key, design in self._direct:
             caches = design.lower_caches()
             memory = design.memory()
             for chunk in stream.chunks():
                 run_chain(chunk, caches, memory)
             if drain:
                 drain_chain(caches, memory)
-            results[design.sim_key()] = [
+            results[key] = [
                 replace(c.stats) for c in caches
-            ] + _memory_stats(memory)
+            ] + memory.stats_list
         return results
 
     def _walk(
@@ -247,20 +273,20 @@ class SimPlan:
         node: _PlanNode,
         stream: AddressStream,
         prefix_stats: list[LevelStats],
-        results: dict[str, list[LevelStats]],
+        results: dict[tuple, list[LevelStats]],
         drain: bool,
         tel: Telemetry | NullTelemetry,
         workload: str,
     ) -> None:
         # Designs whose whole cache chain is the prefix: only their
         # terminal memory consumes the (already captured) stream.
-        for design in node.designs:
+        for key, design in node.designs:
             memory = design.memory()
             for chunk in stream.chunks():
                 memory.process(chunk)
-            results[design.sim_key()] = [
+            results[key] = [
                 replace(s) for s in prefix_stats
-            ] + _memory_stats(memory)
+            ] + memory.stats_list
         for child in node.children.values():
             shared_by = child.design_count()
             if shared_by == 1:
@@ -300,7 +326,7 @@ class SimPlan:
         node: _PlanNode,
         stream: AddressStream,
         prefix_stats: list[LevelStats],
-        results: dict[str, list[LevelStats]],
+        results: dict[tuple, list[LevelStats]],
         drain: bool,
     ) -> None:
         """Run an unshared suffix chain directly, without capture."""
@@ -309,7 +335,7 @@ class SimPlan:
         while True:
             configs.append(current.config)
             if current.designs:
-                design = current.designs[0]
+                key, design = current.designs[0]
                 break
             current = next(iter(current.children.values()))
         caches = [SetAssociativeCache(c) for c in configs]
@@ -318,8 +344,8 @@ class SimPlan:
             run_chain(chunk, caches, memory)
         if drain:
             drain_chain(caches, memory)
-        results[design.sim_key()] = (
+        results[key] = (
             [replace(s) for s in prefix_stats]
             + [c.stats for c in caches]
-            + _memory_stats(memory)
+            + memory.stats_list
         )

@@ -128,12 +128,6 @@ def _round_clamped(value: float, upper: int) -> int:
     return min(int(round(value)), upper)
 
 
-def _memory_stats(memory) -> list[LevelStats]:
-    if isinstance(memory, PartitionedMemory):
-        return memory.stats_list
-    return [memory.stats]
-
-
 class AnalyticEngine:
     """Closed-form lower-hierarchy evaluation for one workload trace.
 
@@ -192,7 +186,7 @@ class AnalyticEngine:
             for chunk in self._chunks():
                 if len(chunk):
                     memory.process(chunk)
-            return _memory_stats(memory)
+            return memory.stats_list
         if isinstance(memory, PartitionedMemory):
             raise SimulationError(
                 "the analytic engine cannot split estimated cache-miss "

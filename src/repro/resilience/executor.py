@@ -335,10 +335,6 @@ class SweepExecutor:
         self.pool_tuning = pool_tuning
         self.profile_hz = profile_hz
         self.profile_memory = profile_memory
-        # Populated (and torn down) per run() by _publish_traces: the
-        # picklable handles workers use to attach the one shared copy
-        # of each workload's trace.
-        self._arena_handles: dict | None = None
         # The SupervisedPool currently driving this campaign, exposed
         # for the live observability plane's readiness probe (set for
         # the duration of _run_supervised, None otherwise).
@@ -550,15 +546,9 @@ class SweepExecutor:
         pending.set(total)
 
         if self.workers > 1:
-            arena = self._publish_traces(grid, journalled, tel)
-            try:
-                result = self._run_supervised(
-                    grid, journalled, tel, progress, pending, run_id
-                )
-            finally:
-                self._arena_handles = None
-                if arena is not None:
-                    arena.close()
+            result = self._run_supervised(
+                grid, journalled, tel, progress, pending, run_id
+            )
         else:
             result = self._run_serial(
                 grid, journalled, tel, progress, pending, run_id
@@ -739,12 +729,7 @@ class SweepExecutor:
         )
 
     def _runner_args(self) -> dict:
-        """The picklable kwargs rebuilding the runner in a worker.
-
-        Includes the published trace-arena handles when a parallel run
-        has them: workers attach each workload's single shared trace
-        copy instead of re-tracing or re-loading privately.
-        """
+        """The picklable kwargs rebuilding the runner in a worker."""
         return {
             "scale": self.runner.scale,
             "seed": self.runner.seed,
@@ -756,63 +741,7 @@ class SweepExecutor:
             "drain": getattr(self.runner, "drain", False),
             "engine": getattr(self.runner, "engine", "auto"),
             "sample": getattr(self.runner, "sample", None),
-            "trace_arena": self._arena_handles,
         }
-
-    # -- shared trace arena ---------------------------------------------
-
-    def _publish_traces(self, grid, journalled, tel):
-        """Trace each to-run workload once and publish it for workers.
-
-        Returns the owning :class:`~repro.trace.arena.TraceArena` (the
-        caller must close it after the campaign drains) or ``None``
-        when the runner cannot trace on its own or nothing needs
-        publishing. Best effort: a
-        failure to trace or publish any workload abandons the arena and
-        the campaign falls back to per-worker tracing — the arena is an
-        optimization, never a correctness dependency.
-        """
-        self._arena_handles = None
-        if not hasattr(self.runner, "trace_only"):
-            return None
-        todo: dict[str, Workload] = {}
-        for design, workload, key in grid:
-            if _reusable(journalled, key):
-                continue
-            todo.setdefault(workload.name, workload)
-        if not todo:
-            return None
-        from repro.trace.arena import TraceArena
-
-        arena = TraceArena()
-        try:
-            for workload in todo.values():
-                with tel.span(
-                    "sweep.publish_trace", workload=workload.name
-                ):
-                    result, cached = self.runner.trace_only(workload)
-                    handle = arena.publish(
-                        workload.name, result.stream, result.regions
-                    )
-                tel.event(
-                    "trace_published", workload=workload.name,
-                    kind=handle.kind, events=handle.events,
-                    cached=cached,
-                )
-        except Exception as exc:
-            tel.event(
-                "trace_publish_failed",
-                error=format_exception_chain(exc),
-            )
-            logger.warning(
-                "trace arena publishing failed (%s); workers fall back "
-                "to private trace loading",
-                format_exception_chain(exc),
-            )
-            arena.close()
-            return None
-        self._arena_handles = arena.handles
-        return arena
 
     # -- shared-prefix batch simulation ---------------------------------
 

@@ -5,11 +5,10 @@ atomically (the whole file is rewritten to a temp file and swapped in
 with ``os.replace``, so a crash mid-append leaves the previous journal
 intact — at worst one torn trailing line, which loading tolerates).
 
-Cells are keyed by a SHA-256 content hash of (design name, design
-simulation key, workload name, scale, seed): if any of those change,
-the key changes and the cell is re-evaluated; if none change, a
-resumed campaign reuses the journalled result without re-running the
-workload. Every line carries a schema version so an old journal is
+Cells are keyed by a SHA-256 content hash of (design name, workload
+name, scale, seed): if any of those change, the key changes and the
+cell is re-evaluated; if none change, a resumed campaign reuses the
+journalled result without re-running the workload. Every line carries a schema version so an old journal is
 rejected loudly rather than misread.
 """
 
@@ -37,7 +36,6 @@ SCHEMA_VERSION = 1
 
 def cell_key(
     design_name: str,
-    sim_key: str,
     workload_name: str,
     scale: float,
     seed: int,
@@ -46,9 +44,11 @@ def cell_key(
 ) -> str:
     """Content hash identifying one (design, workload, scale, seed) cell.
 
+    The design name alone identifies the design: deriving the key never
+    builds a hierarchy, so a design that fails to build fails inside
+    its own fault-isolated cell rather than while keying the grid.
     ``drain`` and a non-default ``engine_class`` enter the hash only
-    when set, so journals written before those dimensions existed keep
-    their keys and resume cleanly. The *exact* engines (scalar/setpar/
+    when set. The *exact* engines (scalar/setpar/
     auto) are bit-identical and deliberately share one engine class —
     but ``"analytic"`` results are approximate, so analytic cells hash
     differently and can never satisfy (or be satisfied by) an exact
@@ -56,7 +56,6 @@ def cell_key(
     """
     payload = {
         "design": design_name,
-        "sim_key": sim_key,
         "workload": workload_name,
         "scale": scale,
         "seed": seed,
@@ -79,8 +78,7 @@ def cell_key_for(
 ) -> str:
     """:func:`cell_key` from live design/workload objects."""
     return cell_key(
-        design.name, design.sim_key(), workload.name, scale, seed, drain,
-        engine_class,
+        design.name, workload.name, scale, seed, drain, engine_class
     )
 
 

@@ -16,8 +16,8 @@ distance analysis (:mod:`repro.trace.reuse`) support testing and the
 generalization study. For scale-out, :mod:`repro.trace.store` persists
 streams in a chunked mmap-ready on-disk format read back zero-copy as
 :class:`~repro.trace.store.MappedStream`, and
-:mod:`repro.trace.arena` shares one physical trace copy across all
-workers of a parallel sweep.
+:mod:`repro.trace.arena` publishes one physical trace copy for other
+processes to attach zero-copy.
 """
 
 from repro.trace.events import LOAD, STORE, AccessBatch

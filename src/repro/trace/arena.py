@@ -1,11 +1,9 @@
-"""Shared trace arena: one physical trace copy across N sweep workers.
+"""Shared trace arena: one physical trace copy across N processes.
 
-A ``--workers N`` sweep used to pay the trace footprint N+1 times —
-every worker re-loaded (or was forked holding) its own private copy of
-each workload's post-trace stream. The arena inverts that: the parent
-materializes each workload's trace **once** into a sharable medium and
-ships workers only a tiny picklable :class:`TraceHandle`; workers
-attach in place and never copy.
+The parent materializes a trace **once** into a sharable medium and
+ships other processes only a tiny picklable :class:`TraceHandle`; they
+attach in place and never copy. (The sweep executor does not use it:
+its workers map the trace cache's store files directly.)
 
 Two media, chosen per trace:
 

@@ -316,8 +316,11 @@ def save_trace(stream: AddressStream, tracer: Tracer, directory: str | Path,
         stream_path = directory / f"{name}{_STREAM_V1}"
         stale = directory / f"{name}{_STREAM_V2}"
     regions_path = directory / f"{name}.regions.json"
-    save_stream(stream, stream_path, version=version)
+    # Regions first: readers treat the stream artifact's existence as
+    # "cached", so it must not appear before its region map (parallel
+    # sweep workers trace and load one cache entry concurrently).
     save_regions(tracer, regions_path)
+    save_stream(stream, stream_path, version=version)
     for path in (stale, checksum_path(stale)):
         if path.exists():
             path.unlink()

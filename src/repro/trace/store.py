@@ -18,9 +18,8 @@ The v2 store trades disk bytes for time and sharing:
 - **Lazy mmap-backed reads.** :meth:`MappedStream.open` maps the file
   and yields zero-copy NumPy views per chunk; nothing is decompressed
   and no private copy is made. N processes mapping the same store
-  share one physical copy through the page cache — the degenerate
-  "trace arena" that makes ``--workers N`` sweeps stop paying N× the
-  trace footprint (see :mod:`repro.trace.arena`).
+  share one physical copy through the page cache, which is how
+  ``--workers N`` sweep workers avoid paying N× the trace footprint.
 - **Incremental integrity.** The header records a SHA-256 per chunk
   (and is itself covered by a digest in the fixed prelude), so
   verification happens chunk-by-chunk as data is first touched — one

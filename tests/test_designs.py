@@ -17,6 +17,7 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.errors import ConfigError
+from repro.experiments.simplan import sim_key
 from repro.partition.ranges import AddressRange
 from repro.tech.params import DRAM, EDRAM, HMC, PCM, STTRAM
 from repro.units import GiB, KiB, MiB
@@ -126,8 +127,11 @@ class TestFourLC:
     def test_sim_key_excludes_technology(self):
         a = FourLCDesign(EDRAM, EH_CONFIGS["EH1"], scale=SCALE)
         b = FourLCDesign(HMC, EH_CONFIGS["EH1"], scale=SCALE)
-        assert a.sim_key() == b.sim_key()
+        assert sim_key(a) == sim_key(b)
         assert a.name != b.name
+        # The terminal memory's technology and name are bindings too.
+        nvm = FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH1"], scale=SCALE)
+        assert sim_key(a) == sim_key(nvm)
 
     def test_l4_is_sectored_and_hashed(self):
         d = FourLCDesign(EDRAM, EH_CONFIGS["EH6"], scale=SCALE)
@@ -153,7 +157,9 @@ class TestNMM:
     def test_sim_key_shared_across_nvm_techs(self):
         a = NMMDesign(PCM, N_CONFIGS["N6"], scale=SCALE)
         b = NMMDesign(STTRAM, N_CONFIGS["N6"], scale=SCALE)
-        assert a.sim_key() == b.sim_key()
+        assert sim_key(a) == sim_key(b)
+        assert sim_key(a) != sim_key(NMMDesign(PCM, N_CONFIGS["N3"],
+                                               scale=SCALE))
 
     def test_page_smaller_than_line_rejected(self):
         with pytest.raises(ConfigError):
@@ -220,5 +226,5 @@ class TestNDM:
         a = NDMDesign(PCM, self.ranges(), scale=SCALE)
         b = NDMDesign(STTRAM, self.ranges(), scale=SCALE)
         c = NDMDesign(PCM, [], scale=SCALE)
-        assert a.sim_key() == b.sim_key()
-        assert a.sim_key() != c.sim_key()
+        assert sim_key(a) == sim_key(b)
+        assert sim_key(a) != sim_key(c)

@@ -8,6 +8,7 @@ from repro.designs.fourlcnvm import FourLCNVMDesign
 from repro.designs.nmm import NMMDesign
 from repro.errors import ConfigError
 from repro.experiments.runner import Runner
+from repro.experiments.simplan import sim_key
 from repro.tech.params import DRAM, EDRAM, HMC, PCM
 from repro.units import MiB
 from repro.workloads.registry import get_workload
@@ -64,7 +65,7 @@ class TestConstruction:
                              scale=SCALE)
         b = DeepHybridDesign(HMC, PCM, EH_CONFIGS["EH1"], N_CONFIGS["N6"],
                              scale=SCALE)
-        assert a.sim_key() == b.sim_key()
+        assert sim_key(a) == sim_key(b)
 
 
 class TestBehaviour:

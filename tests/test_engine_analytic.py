@@ -235,13 +235,11 @@ class TestScreenAnalyticCLI:
 @pytest.mark.resilience
 class TestEngineClassJournalSeparation:
     def test_cell_key_separates_engine_classes(self):
-        exact = cell_key("D", "K", "CG", SCALE, 5)
-        analytic = cell_key("D", "K", "CG", SCALE, 5,
-                            engine_class="analytic")
+        exact = cell_key("D", "CG", SCALE, 5)
+        analytic = cell_key("D", "CG", SCALE, 5, engine_class="analytic")
         assert exact != analytic
         # Explicit "exact" matches the default (old journals resume).
-        assert exact == cell_key("D", "K", "CG", SCALE, 5,
-                                 engine_class="exact")
+        assert exact == cell_key("D", "CG", SCALE, 5, engine_class="exact")
 
     def test_journal_entry_round_trip_and_compat(self):
         entry = JournalEntry(

@@ -14,7 +14,12 @@ from repro.designs.ndm import NDMDesign
 from repro.designs.nmm import NMMDesign
 from repro.designs.reference import ReferenceDesign
 from repro.experiments.runner import Runner
-from repro.experiments.simplan import CapturingCache, SimPlan, config_key
+from repro.experiments.simplan import (
+    CapturingCache,
+    SimPlan,
+    config_key,
+    sim_key,
+)
 from repro.partition.ranges import AddressRange
 from repro.tech.params import EDRAM, FERAM, PCM, STTRAM
 from repro.trace.events import AccessBatch
@@ -82,6 +87,13 @@ class TestPlanStructure:
             FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=SCALE),
             FourLCNVMDesign(EDRAM, PCM, EH_CONFIGS["EH4"], scale=SCALE),
         ]
+        # Same L4, terminal memories differ only in name and binding:
+        # one simulation, not two sharing an L4.
+        assert SimPlan(designs).sim_count == 1
+        # A deeper chain behind the same L4 shares it as a prefix.
+        designs.append(DeepHybridDesign(
+            EDRAM, PCM, EH_CONFIGS["EH4"], N_CONFIGS["N6"], scale=SCALE
+        ))
         plan = SimPlan(designs)
         assert plan.sim_count == 2
         assert plan.shared_levels == 1
@@ -146,7 +158,7 @@ class TestExactness:
         for design in designs:
             # The plan must have populated the cache: stats_for below is
             # a lookup, not an independent per-design simulation.
-            assert (design.sim_key(), workload.name) in plain_runner._design_stats
+            assert (sim_key(design), workload.name) in plain_runner._design_stats
             shared = plain_runner.stats_for(design, workload)
             full = design.build().run(trace.result.stream)
             assert shared.references == full.references

@@ -35,15 +35,14 @@ def make_entry(key="k1", status="ok", **overrides):
 
 class TestCellKey:
     def test_deterministic(self):
-        assert cell_key("D", "S", "W", 0.1, 0) == cell_key("D", "S", "W", 0.1, 0)
+        assert cell_key("D", "W", 0.1, 0) == cell_key("D", "W", 0.1, 0)
 
     def test_sensitive_to_every_component(self):
-        base = cell_key("D", "S", "W", 0.1, 0)
-        assert cell_key("D2", "S", "W", 0.1, 0) != base
-        assert cell_key("D", "S2", "W", 0.1, 0) != base
-        assert cell_key("D", "S", "W2", 0.1, 0) != base
-        assert cell_key("D", "S", "W", 0.2, 0) != base
-        assert cell_key("D", "S", "W", 0.1, 1) != base
+        base = cell_key("D", "W", 0.1, 0)
+        assert cell_key("D2", "W", 0.1, 0) != base
+        assert cell_key("D", "W2", 0.1, 0) != base
+        assert cell_key("D", "W", 0.2, 0) != base
+        assert cell_key("D", "W", 0.1, 1) != base
 
 
 class TestEntryRoundtrip:

@@ -28,11 +28,6 @@ SCALE = 1.0 / 8192
 class ExplodingDesign(NMMDesign):
     """Raises during simulation; used to prove worker fault isolation."""
 
-    def sim_key(self):
-        # Distinct from the healthy NMM design: a shared sim key would
-        # let the exploding cells ride its cached statistics.
-        return "BOOM"
-
     def lower_caches(self):
         raise RuntimeError("injected lower-cache failure")
 
@@ -210,6 +205,6 @@ class TestValidation:
 
 class TestDrainKeying:
     def test_drain_enters_the_key_only_when_true(self):
-        base = cell_key("D", "S", "W", 0.5, 7)
-        assert cell_key("D", "S", "W", 0.5, 7, drain=False) == base
-        assert cell_key("D", "S", "W", 0.5, 7, drain=True) != base
+        base = cell_key("D", "W", 0.5, 7)
+        assert cell_key("D", "W", 0.5, 7, drain=False) == base
+        assert cell_key("D", "W", 0.5, 7, drain=True) != base

@@ -176,9 +176,6 @@ class FakeDesign:
     def __init__(self, name):
         self.name = name
 
-    def sim_key(self):
-        return self.name
-
 
 class FakeWorkload:
     def __init__(self, name):

@@ -54,9 +54,6 @@ class FakeDesign:
     def __init__(self, name):
         self.name = name
 
-    def sim_key(self):
-        return self.name
-
     def __str__(self):
         return self.name
 

@@ -229,7 +229,7 @@ class TestRunnerIntegration:
         telemetry.close()
 
         csv_path = (
-            tmp_path / f"windows_design-{design.sim_key()}-Hashing.csv"
+            tmp_path / f"windows_design-{design.name}-Hashing.csv"
         )
         totals = sum_windows(read_windows_csv(csv_path))
         # The design sim covers only the lower (post-L3) levels; the

@@ -212,3 +212,21 @@ class TestPairedTrace:
         tracer.allocate("x", 64)
         save_trace(tracer.stream, tracer, tmp_path / "sub" / "dir", "t")
         assert (tmp_path / "sub" / "dir" / "t.regions.json").exists()
+
+    def test_regions_land_before_the_stream(self, tmp_path, monkeypatch):
+        """A reader that sees the stream artifact (the runner's "cached"
+        test) must also find its region map, even mid-save."""
+        import repro.trace.io as trace_io
+
+        regions_present = []
+        real_save_stream = trace_io.save_stream
+
+        def spy(stream, path, version=2):
+            regions_present.append((tmp_path / "t.regions.json").exists())
+            real_save_stream(stream, path, version=version)
+
+        monkeypatch.setattr(trace_io, "save_stream", spy)
+        tracer = Tracer()
+        tracer.allocate("x", 64)
+        save_trace(tracer.stream, tracer, tmp_path, "t")
+        assert regions_present == [True]

@@ -310,8 +310,8 @@ class TestArena:
 
 
 @pytest.mark.resilience
-class TestExecutorArena:
-    def test_workers_share_published_traces(self, tmp_path):
+class TestExecutorWorkers:
+    def test_workers_match_serial_bit_for_bit(self, tmp_path):
         from repro.designs.reference import ReferenceDesign
         from repro.experiments.runner import Runner
         from repro.resilience import SweepExecutor
@@ -326,8 +326,6 @@ class TestExecutorArena:
             [ReferenceDesign(scale=scale)], [get_workload("CG")]
         )
         assert all(o.ok for o in result.outcomes)
-        # The arena is torn down after the campaign drains.
-        assert executor._arena_handles is None
         # Parity: a serial run of the same cell is bit-identical.
         serial = Runner(
             scale=scale, seed=4, trace_cache_dir=str(tmp_path)
@@ -335,19 +333,3 @@ class TestExecutorArena:
         parallel_ev = result.outcomes[0].evaluation
         assert parallel_ev.time_norm == serial.time_norm
         assert parallel_ev.energy_j == serial.energy_j
-
-    def test_runner_prefers_arena_handle(self, tmp_path, chunky_stream):
-        from repro.experiments.runner import Runner
-
-        with TraceArena(prefer="shm") as arena:
-            handle = arena.publish("CG", chunky_stream, ())
-            runner = Runner(
-                scale=1.0 / 8192, seed=4,
-                trace_arena={"CG": handle},
-            )
-            from repro.workloads.registry import get_workload
-
-            result = runner._load_cached_trace(get_workload("CG"))
-            assert result is not None
-            assert result.checks == {"cached": True}
-            assert len(result.stream) == len(chunky_stream)
