@@ -24,7 +24,8 @@ class CacheConfig:
             levels, so evicting a dirty page writes back only its dirty
             64 B sectors, not the whole page. ``None`` (the default)
             tracks dirty state at block granularity — correct for the
-            SRAM levels where line == block.
+            SRAM levels where line == block. A block holds at most 64
+            sectors (its dirty state is one 64-bit mask).
         hashed_sets: use multiplicative-hash set indexing instead of
             address-bit slicing. Memory-side caches (eDRAM/HMC L4, the
             DRAM page cache) hash their index in real controllers to
@@ -34,9 +35,10 @@ class CacheConfig:
         policy: replacement policy name ("lru", "fifo", "random").
         engine: simulation engine for this level. ``"auto"`` (the
             default) picks the set-parallel vectorized engine for
-            non-sectored LRU/FIFO levels and the scalar loop otherwise;
-            ``"scalar"`` forces the reference Python loop; ``"setpar"``
-            asserts the vectorized engine (invalid for levels it cannot
+            non-sectored LRU/FIFO levels and the scalar loop otherwise
+            (the page-run kernel on sectored levels); ``"scalar"``
+            forces the reference Python loop; ``"setpar"`` asserts
+            the vectorized engine (invalid for levels it cannot
             simulate). Engines are bit-identical — the knob only affects
             speed, never statistics or emitted requests.
     """
@@ -66,6 +68,12 @@ class CacheConfig:
             if self.sector_size > self.block_size:
                 raise ConfigError(
                     f"{self.name}: sector_size must not exceed block_size"
+                )
+            if self.block_size // self.sector_size > 64:
+                raise ConfigError(
+                    f"{self.name}: at most 64 sectors per block (dirty "
+                    "state is one 64-bit mask per block), got "
+                    f"{self.block_size // self.sector_size}"
                 )
         if self.associativity <= 0:
             raise ConfigError(f"{self.name}: associativity must be positive")
@@ -137,8 +145,11 @@ def supports_setpar(config: CacheConfig) -> bool:
     The vectorized rounds keep replacement order as per-way timestamps
     over whole-block dirty state: LRU stamps on every touch, FIFO
     stamps on insertion only, so both qualify when non-sectored.
-    Random victims are draws from a serial RNG stream and sectored
-    levels track per-sector dirty state — both stay on the scalar loop.
+    Random victims are draws from a serial RNG stream, so Random stays
+    on the scalar loop. Sectored levels run the scalar page-run kernel
+    (one probe per page run, one dirty-sector mask per page; see
+    :mod:`repro.cache.setassoc`): scaled page caches have too few sets
+    for set-parallel rounds to pay.
     """
     sectored = (
         config.sector_size is not None

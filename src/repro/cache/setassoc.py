@@ -36,13 +36,29 @@ Design notes (performance):
   Rounds with fewer than ``SETPAR_MIN_LANES`` active sets (skewed
   tails, tiny scaled caches) are handed back to the scalar loop, which
   is faster at low lane counts.
+- Sectored levels (page allocation, per-sector dirty tracking: the
+  eDRAM/HMC L4 and the DRAM page cache) run the *page-run kernel*, a
+  scalar loop for every policy. Runs collapse at page granularity, and
+  ``np.bitwise_or.reduceat`` folds each run's stores into a ``uint64``
+  mask of the sectors they start in (at most 64 sectors per page). The
+  loop does one probe per page run. It touches the per-set MRU lists
+  (or calls the FIFO/Random policy object) and ORs the run's mask into
+  a ``dict[block, mask]``. It records each miss, plus the victim and
+  its mask for each dirty eviction. Statistics follow from the batch's
+  load/store counts minus the misses. The emitted batch is built
+  vectorized: each fill, then its victim's dirty sectors in ascending
+  order, unpacked from the masks. Scaled page caches have few sets
+  (1–512 at 1/1024), too few lanes for set-parallel rounds to pay.
 
 Semantics: write-back, write-allocate. A store to an absent block
 fills it (counted as a miss of store kind) and marks it dirty; evicting
 a dirty block emits a writeback request to the level below. Fill
 requests propagate as loads of ``block_size`` bytes, writebacks as
 stores of ``block_size`` bytes — this is the paper's extension that
-lets NVM main memory see its true read/write mix.
+lets NVM main memory see its true read/write mix. A sectored level
+marks dirty the sector holding a store's start address and writes back
+only the dirty sectors of an evicted page, one ``sector_size`` store
+each.
 """
 
 from __future__ import annotations
@@ -91,13 +107,15 @@ class SetAssociativeCache:
         )
         if self._sectored:
             self._sector_bits = log2_int(config.sector_size)
-            #: block number -> set of dirty global sector numbers.
-            self._dirty_sectors: dict[int, set[int]] = {}
-            self._dirty: set[int] = set()
         else:
             self._sector_bits = self._block_bits
-            self._dirty_sectors = {}
-            self._dirty = set()
+        #: Sector-index bits within a block (0 when unsectored).
+        self._page_bits = self._block_bits - self._sector_bits
+        #: Sectored: block number -> dirty-sector bitmask (bit k set iff
+        #: sector k of the block is dirty; never holds a zero mask).
+        self._dirty_masks: dict[int, int] = {}
+        #: Unsectored: dirty block numbers.
+        self._dirty: set[int] = set()
         self._is_lru = config.policy == "lru"
         if config.engine == "scalar":
             self._engine = "scalar"
@@ -160,6 +178,21 @@ class SetAssociativeCache:
             ) & self._set_mask
         return block & self._set_mask
 
+    def _run_sets(self, run_blocks: np.ndarray) -> np.ndarray:
+        """Set indices of a block array, vectorized.
+
+        Computed here rather than per run in the serial loops: the hash
+        product exceeds 64 bits, so in Python every probe would pay for
+        big-int allocation. uint64 wrap-around keeps the low 64 bits
+        exact, and the masked bits (15 .. 15 + set bits) all live there,
+        so the mapping is bit-identical to :meth:`_set_index`.
+        """
+        if self._hashed:
+            return (
+                (run_blocks * np.uint64(2654435761)) >> np.uint64(15)
+            ) & np.uint64(self._set_mask)
+        return run_blocks & np.uint64(self._set_mask)
+
     def resident_blocks(self) -> int:
         """Number of blocks currently cached (diagnostics/tests)."""
         if self._inline:
@@ -180,16 +213,16 @@ class SetAssociativeCache:
         """True iff the block (sectored: the sector) holding byte
         ``address`` is dirty."""
         if self._sectored:
-            block = address >> self._block_bits
-            sector = address >> self._sector_bits
-            return sector in self._dirty_sectors.get(block, ())
+            mask = self._dirty_masks.get(address >> self._block_bits, 0)
+            bit = (address >> self._sector_bits) & ((1 << self._page_bits) - 1)
+            return bool((mask >> bit) & 1)
         return (address >> self._block_bits) in self._dirty
 
     def reset(self) -> None:
         """Return to a cold cache with zeroed statistics."""
         self.stats = LevelStats(name=self.config.name)
         self._dirty.clear()
-        self._dirty_sectors.clear()
+        self._dirty_masks.clear()
         self._setpar_unsafe = False
         if self._inline:
             self._sets = [[] for _ in range(self.config.num_sets)]
@@ -234,14 +267,14 @@ class SetAssociativeCache:
         is_store = batch.is_store
         n_loads, n_stores = stats.account_batch(batch)
 
-        # Run-length collapse: one probe per run of equal units. The
-        # unit is the block, or the sector for sectored caches (so the
-        # loop can mark per-sector dirty state exactly in access order).
-        unit_bits = self._sector_bits if self._sectored else self._block_bits
-        units = batch.addresses >> np.uint64(unit_bits)
+        if self._sectored:
+            return self._process_sectored(batch, n_loads, n_stores, tel)
+
+        # Run-length collapse: one probe per run of equal blocks.
+        blocks = batch.addresses >> np.uint64(self._block_bits)
         change = np.empty(n, dtype=bool)
         change[0] = True
-        np.not_equal(units[1:], units[:-1], out=change[1:])
+        np.not_equal(blocks[1:], blocks[:-1], out=change[1:])
         n_runs = int(np.count_nonzero(change))
         if n_runs == n or (
             self._engine == "setpar" and n_runs * 4 > 3 * n
@@ -256,7 +289,7 @@ class SetAssociativeCache:
             # the rest hit (promoting under LRU) — so collapse is purely a
             # throughput lever, worthwhile only when it shrinks the
             # batch substantially.
-            run_units = units
+            run_blocks = blocks
             run_stores = is_store
             first_store = is_store
             run_loads = np.subtract(1, is_store, dtype=np.int64)
@@ -267,48 +300,14 @@ class SetAssociativeCache:
             store_cum[0] = 0
             np.cumsum(is_store, dtype=np.int64, out=store_cum[1:])
             run_stores = store_cum[starts + counts] - store_cum[starts]
-            run_units = units[starts]
+            run_blocks = blocks[starts]
             first_store = is_store[starts]
             run_loads = counts - run_stores
-
-        # Set indices, vectorized. The serial loops used to evaluate
-        # ``(blk * 2654435761) >> 15 & mask`` per run in Python — the
-        # product exceeds 64 bits, so every probe paid for big-int
-        # allocation. uint64 wrap-around keeps the low 64 bits exact,
-        # and the masked bits (15 .. 15 + set bits) all live there, so
-        # the mapping is bit-identical.
-        run_blocks = (
-            run_units >> np.uint64(self._block_bits - self._sector_bits)
-            if self._sectored
-            else run_units
-        )
-        if self._hashed:
-            run_sets = (
-                (run_blocks * np.uint64(2654435761)) >> np.uint64(15)
-            ) & np.uint64(self._set_mask)
-        else:
-            run_sets = run_blocks & np.uint64(self._set_mask)
-
-        if self._sectored:
-            out_units, out_kinds, out_sizes = self._process_runs_sectored(
-                run_units.tolist(),
-                run_blocks.tolist(),
-                run_sets.tolist(),
-                run_loads.tolist(),
-                run_stores.tolist(),
-                first_store.tolist(),
-            )
-            if not out_units:
-                return AccessBatch.empty()
-            return AccessBatch(
-                np.asarray(out_units, dtype=ADDR_DTYPE),
-                np.asarray(out_sizes, dtype=SIZE_DTYPE),
-                np.asarray(out_kinds, dtype=KIND_DTYPE),
-            )
+        run_sets = self._run_sets(run_blocks)
 
         if self._engine == "setpar":
             out_blocks_arr, out_kinds_arr = self._process_runs_setpar(
-                run_units, run_sets, run_loads, run_stores, first_store,
+                run_blocks, run_sets, run_loads, run_stores, first_store,
                 n_loads, n_stores, tel,
             )
             if not len(out_blocks_arr):
@@ -325,7 +324,7 @@ class SetAssociativeCache:
 
         if self._is_lru:
             out_blocks, out_kinds = self._process_runs_lru(
-                run_units.tolist(),
+                run_blocks.tolist(),
                 run_sets.tolist(),
                 run_loads.tolist(),
                 run_stores.tolist(),
@@ -333,7 +332,7 @@ class SetAssociativeCache:
             )
         else:
             out_blocks, out_kinds = self._process_runs_generic(
-                run_units.tolist(),
+                run_blocks.tolist(),
                 run_sets.tolist(),
                 run_loads.tolist(),
                 run_stores.tolist(),
@@ -351,91 +350,173 @@ class SetAssociativeCache:
             np.asarray(out_kinds, dtype=KIND_DTYPE),
         )
 
-    def _process_runs_sectored(
-        self, run_sectors, run_blocks, run_sets, run_loads, run_stores,
-        first_store,
-    ):
-        """Sectored hot loop: page-granularity allocation, sector-
-        granularity dirty tracking (LRU or pluggable policy).
+    def _process_sectored(self, batch, n_loads, n_stores, tel):
+        """Sectored page-run kernel (see the module docstring).
 
-        Fill requests are full blocks (the page is the allocation
-        unit); dirty-eviction writebacks are one request per dirty
-        sector — the paper's "dirty cache line" accounting. Block
-        numbers, set indices, and per-run load counts arrive
-        precomputed (vectorized in :meth:`process`).
+        One probe per run of equal *blocks*; each run carries the
+        bitmask of the sectors its stores start in. The Python loop only
+        updates replacement and dirty state and records misses and
+        dirty evictions; statistics and the emitted batch are built
+        vectorized afterward.
         """
-        sector_bytes = 1 << self._sector_bits
-        block_bytes = self.config.block_size
-        sector_to_addr = self._sector_bits
-        dirty = self._dirty_sectors
-        stats = self.stats
-        is_lru = self._is_lru
-        sets = self._sets if is_lru else None
-        policy = self._policy
-        ways = self.config.associativity
-        lh = lm = sh = sm = wb = fills = 0
-        out_addrs: list[int] = []
-        out_kinds: list[int] = []
-        out_sizes: list[int] = []
+        n = len(batch)
+        addrs = batch.addresses
+        is_store = batch.is_store
+        blocks = addrs >> np.uint64(self._block_bits)
+        change = np.empty(n, dtype=bool)
+        change[0] = True
+        np.not_equal(blocks[1:], blocks[:-1], out=change[1:])
+        starts = np.flatnonzero(change)
+        run_blocks = blocks[starts]
+        run_sets = self._run_sets(run_blocks)
+        n_runs = len(starts)
+        if n_stores:
+            onehot = np.left_shift(
+                np.uint64(1),
+                (addrs >> np.uint64(self._sector_bits))
+                & np.uint64((1 << self._page_bits) - 1),
+            )
+            onehot *= is_store
+            run_masks = np.bitwise_or.reduceat(onehot, starts).tolist()
+        else:
+            run_masks = [0] * n_runs
 
-        for sec, blk, sidx, nld, nst, fst in zip(
-            run_sectors, run_blocks, run_sets, run_loads, run_stores,
-            first_store,
-        ):
-            if is_lru:
+        misses, wb_runs, wb_victims, wb_masks = self._sectored_runs(
+            run_blocks.tolist(), run_sets.tolist(), run_masks
+        )
+        if tel.enabled:
+            tel.counter(
+                "repro_engine_runs", level=self.config.name, path="scalar"
+            ).inc(n_runs)
+
+        stats = self.stats
+        miss_idx = np.asarray(misses, dtype=np.int64)
+        n_fill = len(miss_idx)
+        n_sm = int(np.count_nonzero(is_store[starts[miss_idx]]))
+        stats.load_hits += n_loads - (n_fill - n_sm)
+        stats.load_misses += n_fill - n_sm
+        stats.store_hits += n_stores - n_sm
+        stats.store_misses += n_sm
+        stats.fills += n_fill
+        if not n_fill:
+            return AccessBatch.empty()
+        fills = run_blocks[miss_idx] << np.uint64(self._block_bits)
+        block_bytes = self.config.block_size
+        if not wb_runs:
+            return AccessBatch(
+                fills,
+                np.full(n_fill, block_bytes, dtype=SIZE_DTYPE),
+                np.zeros(n_fill, dtype=KIND_DTYPE),
+            )
+
+        # Each fill is followed by its victim's dirty sectors: the fill
+        # of miss k lands after every earlier fill and writeback.
+        wb_addrs, per_victim = self._sector_writebacks(wb_victims, wb_masks)
+        n_wb = len(wb_addrs)
+        stats.writebacks += n_wb
+        extra = np.zeros(n_fill, dtype=np.int64)
+        extra[np.searchsorted(miss_idx, wb_runs)] = per_victim
+        fill_pos = np.arange(n_fill, dtype=np.int64)
+        fill_pos[1:] += np.cumsum(extra[:-1])
+        kinds = np.ones(n_fill + n_wb, dtype=KIND_DTYPE)
+        kinds[fill_pos] = 0
+        is_wb = kinds.view(bool)
+        out = np.empty(n_fill + n_wb, dtype=ADDR_DTYPE)
+        out[fill_pos] = fills
+        out[is_wb] = wb_addrs
+        sizes = np.full(n_fill + n_wb, block_bytes, dtype=SIZE_DTYPE)
+        sizes[is_wb] = 1 << self._sector_bits
+        return AccessBatch(out, sizes, kinds)
+
+    def _sectored_runs(self, run_blocks, run_sets, run_masks):
+        """Serial half of the sectored kernel, one iteration per page run.
+
+        A page run is a maximal stretch of accesses to one block: only
+        its first access can miss, and a repeated lookup of the block is
+        an idempotent promotion (LRU) or a no-op (FIFO, Random), so one
+        probe per run is exact. Dirty masks are ORed in after the probe,
+        matching per-access order: a run's own stores never reach the
+        victim it displaced.
+
+        Returns:
+            ``(misses, wb_runs, wb_victims, wb_masks)``: the indices of
+            the runs that missed, and for every eviction of a dirty
+            block, the run that caused it, the victim and its dirty
+            mask at that moment.
+        """
+        dirty = self._dirty_masks
+        dirty_get = dirty.get
+        dirty_pop = dirty.pop
+        misses: list[int] = []
+        wb_runs: list[int] = []
+        wb_victims: list[int] = []
+        wb_masks: list[int] = []
+        miss = misses.append
+        if self._is_lru:
+            sets = self._sets
+            ways = self.config.associativity
+            for i, blk, sidx, m in zip(
+                range(len(run_blocks)), run_blocks, run_sets, run_masks
+            ):
                 s = sets[sidx]
                 if blk in s:
                     if s[0] != blk:
                         s.remove(blk)
                         s.insert(0, blk)
-                    hit = True
                 else:
-                    hit = False
-            else:
-                hit = policy.lookup(sidx, blk)
-            if hit:
-                lh += nld
-                sh += nst
-            else:
-                if fst:
-                    sm += 1
-                    sh += nst - 1
-                    lh += nld
-                else:
-                    lm += 1
-                    lh += nld - 1
-                    sh += nst
-                fills += 1
-                out_addrs.append(blk << self._block_bits)
-                out_kinds.append(0)
-                out_sizes.append(block_bytes)
-                if is_lru:
+                    miss(i)
                     s.insert(0, blk)
-                    victim = s.pop() if len(s) > ways else None
-                else:
-                    victim = policy.insert(sidx, blk)
-                if victim is not None:
-                    victim_sectors = dirty.pop(victim, None)
-                    if victim_sectors:
-                        wb += len(victim_sectors)
-                        for vsec in sorted(victim_sectors):
-                            out_addrs.append(vsec << sector_to_addr)
-                            out_kinds.append(1)
-                            out_sizes.append(sector_bytes)
-            if nst:
-                entry = dirty.get(blk)
-                if entry is None:
-                    dirty[blk] = {sec}
-                else:
-                    entry.add(sec)
+                    if len(s) > ways:
+                        victim = s.pop()
+                        vm = dirty_pop(victim, 0)
+                        if vm:
+                            wb_runs.append(i)
+                            wb_victims.append(victim)
+                            wb_masks.append(vm)
+                if m:
+                    dirty[blk] = dirty_get(blk, 0) | m
+        else:
+            lookup = self._policy.lookup
+            insert = self._policy.insert
+            for i, blk, sidx, m in zip(
+                range(len(run_blocks)), run_blocks, run_sets, run_masks
+            ):
+                if not lookup(sidx, blk):
+                    miss(i)
+                    victim = insert(sidx, blk)
+                    if victim is not None:
+                        vm = dirty_pop(victim, 0)
+                        if vm:
+                            wb_runs.append(i)
+                            wb_victims.append(victim)
+                            wb_masks.append(vm)
+                if m:
+                    dirty[blk] = dirty_get(blk, 0) | m
+        return misses, wb_runs, wb_victims, wb_masks
 
-        stats.load_hits += lh
-        stats.load_misses += lm
-        stats.store_hits += sh
-        stats.store_misses += sm
-        stats.writebacks += wb
-        stats.fills += fills
-        return out_addrs, out_kinds, out_sizes
+    def _sector_writebacks(self, blocks, masks):
+        """Byte addresses of the dirty sectors named by ``(block, mask)``
+        pairs, pair by pair and ascending within a pair.
+
+        Returns:
+            ``(addresses, counts)``: the ``ADDR_DTYPE`` sector addresses
+            and, per pair, how many of them it contributed.
+        """
+        # Little-endian bytes, unpacked LSB first: column k of row j is
+        # bit k of mask j, and nonzero() walks rows, then columns, in
+        # ascending order. (bincount over the rows is the popcount;
+        # np.bitwise_count would need NumPy 2.)
+        mask_arr = np.asarray(masks, dtype="<u8")
+        bits = np.unpackbits(
+            mask_arr.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little"
+        )
+        rows, cols = np.nonzero(bits)
+        counts = np.bincount(rows, minlength=len(mask_arr))
+        block_arr = np.asarray(blocks, dtype=ADDR_DTYPE)
+        addrs = (block_arr[rows] << np.uint64(self._block_bits)) | (
+            cols.astype(ADDR_DTYPE) << np.uint64(self._sector_bits)
+        )
+        return addrs, counts
 
     def _process_runs_lru(
         self, run_blocks, run_sets, run_loads, run_stores, first_store
@@ -1048,17 +1129,10 @@ class SetAssociativeCache:
         if victim is None:
             return AccessBatch.empty()
         if self._sectored:
-            sectors = self._dirty_sectors.pop(victim, None)
-            if not sectors:
+            mask = self._dirty_masks.pop(victim, 0)
+            if not mask:
                 return AccessBatch.empty()
-            self.stats.writebacks += len(sectors)
-            ordered = sorted(sectors)
-            return AccessBatch(
-                np.asarray(ordered, dtype=ADDR_DTYPE)
-                << np.uint64(self._sector_bits),
-                np.full(len(ordered), 1 << self._sector_bits, dtype=SIZE_DTYPE),
-                np.ones(len(ordered), dtype=KIND_DTYPE),
-            )
+            return self._sector_flush([victim], [mask])
         if victim not in self._dirty:
             return AccessBatch.empty()
         self._dirty.discard(victim)
@@ -1077,19 +1151,14 @@ class SetAssociativeCache:
         clean.
         """
         if self._sectored:
-            if not self._dirty_sectors:
+            if not self._dirty_masks:
                 return AccessBatch.empty()
-            sectors = sorted(
-                sec for secs in self._dirty_sectors.values() for sec in secs
-            )
-            self._dirty_sectors.clear()
-            self.stats.writebacks += len(sectors)
-            return AccessBatch(
-                np.asarray(sectors, dtype=ADDR_DTYPE)
-                << np.uint64(self._sector_bits),
-                np.full(len(sectors), 1 << self._sector_bits, dtype=SIZE_DTYPE),
-                np.ones(len(sectors), dtype=KIND_DTYPE),
-            )
+            # Ascending blocks, each ascending by sector: ascending
+            # global sector order.
+            blocks = sorted(self._dirty_masks)
+            masks = [self._dirty_masks[b] for b in blocks]
+            self._dirty_masks.clear()
+            return self._sector_flush(blocks, masks)
         if not self._dirty:
             return AccessBatch.empty()
         blocks = sorted(self._dirty)
@@ -1099,6 +1168,16 @@ class SetAssociativeCache:
             np.asarray(blocks, dtype=ADDR_DTYPE) << np.uint64(self._block_bits),
             np.full(len(blocks), self.config.block_size, dtype=SIZE_DTYPE),
             np.ones(len(blocks), dtype=KIND_DTYPE),
+        )
+
+    def _sector_flush(self, blocks, masks) -> AccessBatch:
+        """Writeback batch (and its statistics) for evicted dirty masks."""
+        addrs, _ = self._sector_writebacks(blocks, masks)
+        self.stats.writebacks += len(addrs)
+        return AccessBatch(
+            addrs,
+            np.full(len(addrs), 1 << self._sector_bits, dtype=SIZE_DTYPE),
+            np.ones(len(addrs), dtype=KIND_DTYPE),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
