@@ -116,7 +116,9 @@ def quick_mode() -> bool:
 
 def sharing_cluster(reference, scale):
     """The acceptance sweep: one 4LC plus three 4LC-NVM points, all on
-    the same eDRAM EH4 L4 (two sim keys, one shared level)."""
+    the same eDRAM EH4 L4. They share one lower cache chain and
+    terminal-memory layout, so they are one simulation (one sim key,
+    no shared level)."""
     return [
         FourLCDesign(EDRAM, EH_CONFIGS["EH4"], scale=scale,
                      reference=reference),

@@ -25,7 +25,8 @@ Subcommands:
 
 - ``telemetry report DIR`` — summarize a telemetry directory written
   by a previous ``--telemetry DIR`` run (span digests, window files,
-  event counts); a multi-worker run root is aggregated first.
+  event counts): a run root with its ``worker-N/`` directories, or a
+  merged directory.
 - ``telemetry merge DIR [--out DIR]`` — merge a run root plus its
   ``worker-N/`` directories into one ordered run log, one summed
   ``metrics.prom``, and a provenance-stamped windows CSV.
@@ -572,8 +573,8 @@ def main(argv: list[str] | None = None) -> int:
     telem_sub = telem.add_subparsers(dest="action", required=True)
     telem_report = telem_sub.add_parser(
         "report",
-        help="summarize a telemetry directory (run-aware: a sweep root "
-        "with worker-N/ subdirectories is aggregated first)",
+        help="summarize a telemetry run root (with its worker-N/ "
+        "subdirectories) or a merged directory",
     )
     telem_report.add_argument("dir", type=str,
                               help="telemetry directory to summarize")
@@ -737,37 +738,24 @@ def _telemetry_command(args) -> int:
 
     from repro.errors import TelemetryError
     from repro.telemetry import observatory
-    from repro.telemetry.report import (
-        render_summary,
-        summarize_directory,
-        summary_to_dict,
-    )
+    from repro.telemetry.report import render_summary, summary_to_dict
 
     try:
         if args.action == "report":
             import json as json_mod
 
-            root = Path(args.dir)
+            aggregate = observatory.aggregate_run(args.dir)
+            summary = observatory.summary_from_aggregate(aggregate)
+            if args.json:
+                print(json_mod.dumps(summary_to_dict(summary), indent=2))
+                return 0
             if any(
-                observatory.worker_index(child) is not None
-                for child in root.iterdir() if child.is_dir()
+                observatory.worker_index(source) is not None
+                for source in aggregate.sources
             ):
-                aggregate = observatory.aggregate_run(root)
-                summary = observatory.summary_from_aggregate(aggregate)
-                if args.json:
-                    print(json_mod.dumps(
-                        summary_to_dict(summary), indent=2))
-                else:
-                    print(observatory.render_run_overview(aggregate))
-                    print()
-                    print(render_summary(summary))
-            else:
-                summary = summarize_directory(root)
-                if args.json:
-                    print(json_mod.dumps(
-                        summary_to_dict(summary), indent=2))
-                else:
-                    print(render_summary(summary))
+                print(observatory.render_run_overview(aggregate))
+                print()
+            print(render_summary(summary))
             return 0
 
         if args.action == "serve":

@@ -71,9 +71,9 @@ from urllib.parse import parse_qs, urlsplit
 from repro.errors import TelemetryError
 from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
 from repro.telemetry.exporters import JsonlTailer
-from repro.telemetry.observatory import ROOT_WORKER, worker_index
+from repro.telemetry.observatory import ROOT_WORKER, worker_dirs, worker_index
 from repro.telemetry.progress import format_duration, price_eta
-from repro.telemetry.report import _SUPERVISION_EVENTS
+from repro.telemetry.report import SUPERVISION_EVENTS
 
 #: Default bind address: localhost only (see the security note above).
 DEFAULT_HOST = "127.0.0.1"
@@ -165,12 +165,10 @@ class DirectoryFollower:
 
     def _discover(self) -> None:
         try:
-            children = list(self.root.iterdir())
+            workers = worker_dirs(self.root)
         except (FileNotFoundError, NotADirectoryError):
             return
-        for child in children:
-            if not child.is_dir() or worker_index(child) is None:
-                continue
+        for child in workers:
             if child.name not in self._tailers:
                 self._tailers[child.name] = JsonlTailer(child / EVENTS_FILE)
 
@@ -250,7 +248,7 @@ class ProgressTracker:
             self._cell_finished(event)
         elif kind == "window":
             self._window(event)
-        if kind in _SUPERVISION_EVENTS:
+        if kind in SUPERVISION_EVENTS:
             self._supervision(kind, event)
 
     def _cell_finished(self, event: dict) -> None:

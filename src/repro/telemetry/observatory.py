@@ -62,14 +62,18 @@ from repro.telemetry.profiling import (
     read_profile,
     total_samples,
 )
-from repro.telemetry.registry import _escape, _render_value
+from repro.telemetry.registry import (
+    escape_label_value,
+    parse_sample_line,
+    render_value,
+)
 from repro.telemetry.report import (
+    HOTSPOT_TOP,
+    EngineDigest,
     LevelDigest,
     SpanDigest,
+    StageWindows,
     TelemetrySummary,
-    _digest_engines,
-    _digest_windows,
-    _parse_prom_line,
     supervision_digest,
 )
 from repro.telemetry.windows import WINDOW_FIELDS, WindowRecord
@@ -94,6 +98,17 @@ def worker_index(path: str | Path) -> int | None:
     """The worker number of a ``worker-K`` directory name, else None."""
     match = _WORKER_DIR.match(Path(path).name)
     return int(match.group(1)) if match else None
+
+
+def worker_dirs(root: str | Path) -> list[Path]:
+    """A run root's ``worker-K/`` subdirectories, in worker order
+    (worker-2 before worker-10)."""
+    workers = []
+    for child in Path(root).iterdir():
+        index = worker_index(child)
+        if index is not None and child.is_dir():
+            workers.append((index, child))
+    return [child for _, child in sorted(workers)]
 
 
 # ----------------------------------------------------------------------
@@ -158,7 +173,7 @@ class RunAggregate:
         key = tuple(sorted((k, str(v)) for k, v in labels.items()))
         return self.metrics.get(name, {}).get(key, 0.0)
 
-    # -- digests used by report/diff ------------------------------------
+    # -- digests used by report/diff (each computed only here) ----------
 
     def span_digests(self) -> list[SpanDigest]:
         """Per-span-name duration digests over the merged run log."""
@@ -177,35 +192,65 @@ class RunAggregate:
 
     def level_digests(self) -> list[LevelDigest]:
         """Per-level window sums across every stage and worker."""
-        by_level: dict[str, LevelDigest] = {}
+        return sorted(
+            _fold_levels(row.record for row in self.windows),
+            key=lambda d: d.level,
+        )
+
+    def stage_digests(self) -> list[StageWindows]:
+        """Per-stage window digests; a stage merges by context across
+        workers."""
+        by_context: dict[str, list[WindowRecord]] = {}
         for row in self.windows:
-            digest = by_level.setdefault(
-                row.record.level, LevelDigest(row.record.level)
+            by_context.setdefault(row.context, []).append(row.record)
+        return [
+            StageWindows(
+                context=context,
+                windows=max(record.index for record in records) + 1,
+                refs=max(record.end_refs for record in records),
+                levels=_fold_levels(records),
             )
-            digest.accesses += row.record.accesses
-            digest.hits += row.record.hits
-            digest.bytes_moved += row.record.bytes_moved
-            digest.writebacks += row.record.writebacks
+            for context, records in sorted(by_context.items())
+        ]
+
+    def engine_digests(self) -> list[EngineDigest]:
+        """Per-level engine digests: the engine each level resolved to
+        (``engine_selected`` events) and its merged ``repro_engine_*``
+        counters."""
+        by_level: dict[str, EngineDigest] = {}
+
+        def digest(level: str) -> EngineDigest:
+            return by_level.setdefault(level, EngineDigest(level))
+
+        for event in self.events:
+            if event.get("kind") == "engine_selected":
+                d = digest(str(event.get("level", "?")))
+                d.engine = str(event.get("engine", "?"))
+                d.policy = str(event.get("policy", ""))
+        for name in ("repro_engine_rounds", "repro_engine_runs",
+                     "repro_engine_occupancy"):
+            for key, value in self.metrics.get(name, {}).items():
+                labels = dict(key)
+                if "level" not in labels:
+                    continue
+                d = digest(labels["level"])
+                if name == "repro_engine_rounds":
+                    d.rounds += int(value)
+                elif name == "repro_engine_occupancy":
+                    d.occupancy = value
+                elif labels.get("path") == "vector":
+                    d.runs_vector += int(value)
+                else:
+                    d.runs_scalar += int(value)
         return sorted(by_level.values(), key=lambda d: d.level)
 
     def vector_fractions(self) -> dict[str, float]:
-        """Per-level engine vector fraction from the merged metrics."""
-        runs: dict[str, dict[str, float]] = {}
-        for key, value in self.metrics.get("repro_engine_runs", {}).items():
-            labels = dict(key)
-            level = labels.get("level")
-            if level is None:
-                continue
-            path = "vector" if labels.get("path") == "vector" else "scalar"
-            runs.setdefault(level, {})[path] = (
-                runs.setdefault(level, {}).get(path, 0.0) + value
-            )
-        fractions = {}
-        for level, paths in runs.items():
-            total = paths.get("vector", 0.0) + paths.get("scalar", 0.0)
-            if total:
-                fractions[level] = paths.get("vector", 0.0) / total
-        return fractions
+        """Per-level engine vector fraction (levels that ran at all)."""
+        return {
+            d.level: d.vector_fraction
+            for d in self.engine_digests()
+            if d.runs_vector + d.runs_scalar
+        }
 
     def cell_status_counts(self) -> dict[str, float]:
         """Finished-cell counts by status from the merged metrics."""
@@ -231,7 +276,7 @@ class RunAggregate:
             )
         return totals
 
-    def hotspots(self, top: int = 5) -> list[HotspotDigest]:
+    def hotspots(self, top: int = HOTSPOT_TOP) -> list[HotspotDigest]:
         """Top functions by inclusive samples, per stage."""
         return hotspot_digests(self.profiles, top=top)
 
@@ -256,6 +301,18 @@ class RunAggregate:
         }
 
 
+def _fold_levels(records: Iterable[WindowRecord]) -> list[LevelDigest]:
+    """Per-level window sums, in first-seen (top-to-bottom) order."""
+    by_level: dict[str, LevelDigest] = {}
+    for record in records:
+        digest = by_level.setdefault(record.level, LevelDigest(record.level))
+        digest.accesses += record.accesses
+        digest.hits += record.hits
+        digest.bytes_moved += record.bytes_moved
+        digest.writebacks += record.writebacks
+    return list(by_level.values())
+
+
 def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     """A run's telemetry sources: the root itself plus ``worker-K/``.
 
@@ -278,13 +335,7 @@ def discover_sources(root: str | Path) -> list[tuple[str, Path]]:
     )
     if root_has_artifacts:
         sources.append((ROOT_WORKER, root))
-    workers = []
-    for child in root.iterdir():
-        match = _WORKER_DIR.match(child.name)
-        if match and child.is_dir():
-            workers.append((int(match.group(1)), child))
-    for _, directory in sorted(workers):
-        sources.append((directory.name, directory))
+    sources.extend((path.name, path) for path in worker_dirs(root))
     if not sources:
         raise TelemetryError(
             f"no telemetry artifacts under {root} (expected "
@@ -354,7 +405,7 @@ def _read_metrics(path: Path) -> tuple[dict[str, str], list[tuple]]:
             if len(parts) == 4 and parts[1] == "TYPE":
                 kinds[parts[2]] = parts[3]
             continue
-        parsed = _parse_prom_line(line)
+        parsed = parse_sample_line(line)
         if parsed is None:
             raise TelemetryError(
                 f"unparseable metrics line in {path}: {line!r}"
@@ -527,9 +578,11 @@ def _render_merged_metrics(
                 le_rank(entry[1]),
             ),
         ):
-            body = ",".join(f'{k}="{_escape(str(v))}"' for k, v in labels)
+            body = ",".join(
+                f'{k}="{escape_label_value(str(v))}"' for k, v in labels
+            )
             rendered = "{" + body + "}" if body else ""
-            lines.append(f"{sample}{rendered} {_render_value(value)}")
+            lines.append(f"{sample}{rendered} {render_value(value)}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -586,39 +639,30 @@ def write_merged(
 
 
 def summary_from_aggregate(aggregate: RunAggregate) -> TelemetrySummary:
-    """A merged-view :class:`TelemetrySummary` (for ``telemetry report``).
+    """The :class:`TelemetrySummary` ``telemetry report`` renders.
 
-    Window stages merge by context across workers; engine digests come
-    from the merged metrics and ``engine_selected`` events.
+    Works the same on a single directory, a multi-worker run root and
+    a merged directory: every digest comes from the aggregate.
     """
-    summary = TelemetrySummary(directory=aggregate.root)
-    engine_events: list[dict] = []
+    events_by_kind: dict[str, int] = {}
     for event in aggregate.events:
         kind = str(event.get("kind", "event"))
-        summary.events_by_kind[kind] = summary.events_by_kind.get(kind, 0) + 1
-        if kind == "engine_selected":
-            engine_events.append(event)
-    summary.spans = aggregate.span_digests()
-
-    by_context: dict[str, list[WindowRecord]] = {}
-    for row in aggregate.windows:
-        by_context.setdefault(row.context, []).append(row.record)
-    summary.stages = [
-        _digest_windows(context, records)
-        for context, records in sorted(by_context.items())
-    ]
-
-    metrics_text = _render_merged_metrics(
+        events_by_kind[kind] = events_by_kind.get(kind, 0) + 1
+    # The line count of the merged snapshot ``telemetry merge`` writes.
+    metrics_lines = _render_merged_metrics(
         aggregate.metric_kinds, aggregate.metrics
+    ).count("\n")
+    return TelemetrySummary(
+        directory=aggregate.root,
+        events_by_kind=events_by_kind,
+        spans=aggregate.span_digests(),
+        stages=aggregate.stage_digests(),
+        engines=aggregate.engine_digests(),
+        supervision=supervision_digest(events_by_kind),
+        metrics_lines=metrics_lines,
+        hotspots=aggregate.hotspots(),
+        profile_samples=aggregate.profile_samples(),
     )
-    summary.metrics_lines = len(
-        [line for line in metrics_text.splitlines() if line.strip()]
-    )
-    summary.engines = _digest_engines(engine_events, metrics_text)
-    summary.supervision = supervision_digest(summary.events_by_kind)
-    summary.profile_samples = aggregate.profile_samples()
-    summary.hotspots = aggregate.hotspots()
-    return summary
 
 
 def render_run_overview(aggregate: RunAggregate) -> str:

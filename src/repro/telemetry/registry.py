@@ -330,7 +330,7 @@ class MetricsRegistry:
                     )
                 lines.append(
                     f"{name}_sum{_render_labels(base_labels)} "
-                    f"{_render_value(entry['sum'])}"
+                    f"{render_value(entry['sum'])}"
                 )
                 lines.append(
                     f"{name}_count{_render_labels(base_labels)} "
@@ -339,7 +339,7 @@ class MetricsRegistry:
             else:
                 lines.append(
                     f"{name}{_render_labels(base_labels)} "
-                    f"{_render_value(entry['value'])}"
+                    f"{render_value(entry['value'])}"
                 )
         return "\n".join(lines) + ("\n" if lines else "")
 
@@ -348,13 +348,10 @@ def _render_labels(labels: dict[str, str]) -> str:
     if not labels:
         return ""
     body = ",".join(
-        f'{k}="{_escape(str(v))}"' for k, v in sorted(labels.items())
+        f'{k}="{escape_label_value(str(v))}"'
+        for k, v in sorted(labels.items())
     )
     return "{" + body + "}"
-
-
-def _escape(value: str) -> str:
-    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 def escape_label_value(value: str) -> str:
@@ -365,7 +362,7 @@ def escape_label_value(value: str) -> str:
     any of them (quoted workload names, embedded newlines) cannot
     terminate the quoted value early and corrupt a scrape.
     """
-    return _escape(value)
+    return value.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\n")
 
 
 _UNESCAPE = re.compile(r"\\(.)")
@@ -384,7 +381,8 @@ def unescape_label_value(value: str) -> str:
     )
 
 
-def _render_value(value: float) -> str:
+def render_value(value: float) -> str:
+    """A sample value as the exposition format writes it."""
     if value != value:  # NaN
         return "NaN"
     if math.isinf(value):
@@ -392,6 +390,31 @@ def _render_value(value: float) -> str:
     if float(value).is_integer():
         return str(int(value))
     return repr(float(value))
+
+
+#: ``name{label="a",other="b"} value`` — the exposition-format shape
+#: :meth:`MetricsRegistry.render_prometheus` writes for scalars. The
+#: label body is matched greedily up to the *last* ``}`` so escaped
+#: values containing ``}`` cannot truncate the match.
+_SAMPLE_LINE = re.compile(r"^(\w+)(?:\{(.*)\})?\s+(\S+)$")
+_SAMPLE_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
+
+
+def parse_sample_line(line: str) -> tuple[str, dict[str, str], float] | None:
+    """``(name, labels, value)`` of one exposition line, else None."""
+    match = _SAMPLE_LINE.match(line.strip())
+    if not match:
+        return None
+    name, label_body, raw = match.groups()
+    try:
+        value = float(raw)
+    except ValueError:
+        return None
+    labels = {
+        k: unescape_label_value(v)
+        for k, v in _SAMPLE_LABEL.findall(label_body or "")
+    }
+    return name, labels, value
 
 
 # ----------------------------------------------------------------------

@@ -1,30 +1,22 @@
-"""Summarize a telemetry directory into a human-readable report.
+"""The ``telemetry report`` summary: digest types and renderers.
 
-``python -m repro.experiments telemetry report DIR`` reads what a run
-wrote — ``events.jsonl``, ``windows_*.csv``, ``metrics.prom`` — and
-renders: event counts by kind, per-span duration statistics, and a
-per-stage window digest (windows, references, per-level hit rate and
-demanded bandwidth). Pure reader: it never mutates the directory.
+``python -m repro.experiments telemetry report DIR`` reads a run
+through :func:`repro.telemetry.observatory.aggregate_run`, folds the
+aggregate into a :class:`TelemetrySummary`
+(:func:`~repro.telemetry.observatory.summary_from_aggregate`), and
+renders it here: event counts by kind, per-span duration statistics,
+a per-stage window digest (windows, references, per-level hit rate
+and demanded bandwidth), cache-engine activity, hotspots, and
+worker-pool supervision. This module reads no files.
 """
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.errors import TelemetryError
-from repro.telemetry.core import EVENTS_FILE, METRICS_FILE
-from repro.telemetry.exporters import read_jsonl, read_windows_csv
-from repro.telemetry.profiling import (
-    PROFILE_FILE,
-    HotspotDigest,
-    hotspot_digests,
-    read_profile,
-    total_samples,
-)
-from repro.telemetry.registry import unescape_label_value
-from repro.telemetry.windows import WindowRecord
+from repro.telemetry.core import METRICS_FILE
+from repro.telemetry.profiling import HotspotDigest
 
 #: Functions listed per stage in the report's hotspots section.
 HOTSPOT_TOP = 5
@@ -94,9 +86,9 @@ class EngineDigest:
     """Per-level cache-engine activity digest.
 
     Built from ``engine_selected`` events (which engine each level
-    resolved to) joined with the ``repro_engine_*`` counters/gauges in
-    the Prometheus snapshot (how much work the set-parallel fast path
-    actually absorbed).
+    resolved to) joined with the merged ``repro_engine_*`` counters and
+    gauges (how much work the set-parallel fast path actually
+    absorbed).
 
     Attributes:
         level: hierarchy level name.
@@ -161,7 +153,7 @@ class SupervisionDigest:
 
 
 #: event kind -> SupervisionDigest attribute incremented per event.
-_SUPERVISION_EVENTS = {
+SUPERVISION_EVENTS = {
     "worker_spawned": "spawned",
     "worker_died": "died",
     "worker_respawned": "respawned",
@@ -176,17 +168,17 @@ _SUPERVISION_EVENTS = {
 def supervision_digest(events_by_kind: dict[str, int]) -> SupervisionDigest:
     """Fold event-kind counts into a :class:`SupervisionDigest`."""
     digest = SupervisionDigest()
-    for kind, attr in _SUPERVISION_EVENTS.items():
+    for kind, attr in SUPERVISION_EVENTS.items():
         setattr(digest, attr, events_by_kind.get(kind, 0))
     return digest
 
 
 @dataclass
 class TelemetrySummary:
-    """Everything :func:`summarize_directory` extracts.
+    """What ``telemetry report`` prints about one run.
 
     Attributes:
-        directory: the summarized path.
+        directory: the summarized run root or merged directory.
         events_by_kind: event counts from ``events.jsonl``.
         spans: per-name span digests, by descending total time.
         stages: per-stage window digests, by context.
@@ -209,138 +201,6 @@ class TelemetrySummary:
     metrics_lines: int = 0
     hotspots: list[HotspotDigest] = field(default_factory=list)
     profile_samples: int = 0
-
-
-def _digest_windows(context: str, records: list[WindowRecord]) -> StageWindows:
-    by_level: dict[str, LevelDigest] = {}
-    refs = 0
-    windows = 0
-    for record in records:
-        windows = max(windows, record.index + 1)
-        refs = max(refs, record.end_refs)
-        digest = by_level.setdefault(record.level, LevelDigest(record.level))
-        digest.accesses += record.accesses
-        digest.hits += record.hits
-        digest.bytes_moved += record.bytes_moved
-        digest.writebacks += record.writebacks
-    return StageWindows(
-        context=context, windows=windows, refs=refs,
-        levels=list(by_level.values()),
-    )
-
-
-#: ``name{label="a",other="b"} value`` — the exposition-format shape
-#: :meth:`MetricsRegistry.render_prometheus` writes for scalars. The
-#: label body is matched greedily up to the *last* ``}`` so escaped
-#: values containing ``}`` cannot truncate the match.
-_PROM_LINE = re.compile(r"^(\w+)(?:\{(.*)\})?\s+(\S+)$")
-_PROM_LABEL = re.compile(r'(\w+)="((?:[^"\\]|\\.)*)"')
-
-
-def _parse_prom_line(line: str) -> tuple[str, dict[str, str], float] | None:
-    """``(name, labels, value)`` of one exposition line, else None."""
-    match = _PROM_LINE.match(line.strip())
-    if not match:
-        return None
-    name, label_body, raw = match.groups()
-    try:
-        value = float(raw)
-    except ValueError:
-        return None
-    labels = {
-        k: unescape_label_value(v)
-        for k, v in _PROM_LABEL.findall(label_body or "")
-    }
-    return name, labels, value
-
-
-def _digest_engines(
-    events: list[dict], metrics_text: str
-) -> list[EngineDigest]:
-    by_level: dict[str, EngineDigest] = {}
-
-    def digest(level: str) -> EngineDigest:
-        return by_level.setdefault(level, EngineDigest(level))
-
-    for event in events:
-        d = digest(str(event.get("level", "?")))
-        d.engine = str(event.get("engine", "?"))
-        d.policy = str(event.get("policy", ""))
-
-    for line in metrics_text.splitlines():
-        parsed = _parse_prom_line(line)
-        if parsed is None:
-            continue
-        name, labels, value = parsed
-        if not name.startswith("repro_engine_") or "level" not in labels:
-            continue
-        d = digest(labels["level"])
-        if name == "repro_engine_rounds":
-            d.rounds = int(value)
-        elif name == "repro_engine_occupancy":
-            d.occupancy = value
-        elif name == "repro_engine_runs":
-            if labels.get("path") == "vector":
-                d.runs_vector = int(value)
-            else:
-                d.runs_scalar = int(value)
-    return sorted(by_level.values(), key=lambda d: d.level)
-
-
-def summarize_directory(directory: str | Path) -> TelemetrySummary:
-    """Read a telemetry directory into a :class:`TelemetrySummary`.
-
-    Raises:
-        TelemetryError: when the directory does not exist.
-    """
-    directory = Path(directory)
-    if not directory.is_dir():
-        raise TelemetryError(f"no telemetry directory at {directory}")
-    summary = TelemetrySummary(directory=directory)
-
-    events_path = directory / EVENTS_FILE
-    spans: dict[str, SpanDigest] = {}
-    engine_events: list[dict] = []
-    if events_path.exists():
-        for event in read_jsonl(events_path):
-            kind = str(event.get("kind", "event"))
-            summary.events_by_kind[kind] = (
-                summary.events_by_kind.get(kind, 0) + 1
-            )
-            if kind == "span" and "name" in event:
-                digest = spans.setdefault(
-                    event["name"], SpanDigest(event["name"])
-                )
-                duration = float(event.get("duration_s", 0.0))
-                digest.count += 1
-                digest.total_s += duration
-                digest.max_s = max(digest.max_s, duration)
-            elif kind == "engine_selected":
-                engine_events.append(event)
-    summary.spans = sorted(
-        spans.values(), key=lambda d: d.total_s, reverse=True
-    )
-
-    for csv_path in sorted(directory.glob("windows_*.csv")):
-        context = csv_path.stem[len("windows_"):]
-        summary.stages.append(
-            _digest_windows(context, read_windows_csv(csv_path))
-        )
-
-    metrics_text = ""
-    metrics_path = directory / METRICS_FILE
-    if metrics_path.exists():
-        metrics_text = metrics_path.read_text()
-        summary.metrics_lines = len(
-            [l for l in metrics_text.splitlines() if l.strip()]
-        )
-    summary.engines = _digest_engines(engine_events, metrics_text)
-    summary.supervision = supervision_digest(summary.events_by_kind)
-
-    profile_records = read_profile(directory / PROFILE_FILE)
-    summary.profile_samples = total_samples(profile_records)
-    summary.hotspots = hotspot_digests(profile_records, top=HOTSPOT_TOP)
-    return summary
 
 
 def summary_to_dict(summary: TelemetrySummary) -> dict:

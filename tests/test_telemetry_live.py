@@ -26,9 +26,9 @@ from repro.telemetry.live import (
 from repro.telemetry.registry import (
     MetricsRegistry,
     escape_label_value,
+    parse_sample_line,
     unescape_label_value,
 )
-from repro.telemetry.report import _parse_prom_line
 
 pytestmark = pytest.mark.telemetry
 
@@ -511,7 +511,7 @@ class TestLabelEscaping:
             l for l in text.splitlines()
             if l.startswith("repro_probe{")
         )
-        parsed = _parse_prom_line(line)
+        parsed = parse_sample_line(line)
         assert parsed is not None
         name, labels, value = parsed
         assert name == "repro_probe"

@@ -606,17 +606,14 @@ class TestSupervisionDiff:
 
 class TestSupervisionReport:
     def test_summary_counts_supervision_events(self, tmp_path):
-        from repro.telemetry.report import (
-            render_summary,
-            summarize_directory,
-        )
+        from repro.telemetry.report import render_summary
 
         telemetry = Telemetry(tmp_path / "t", run_context=RunContext(RUN))
         for kind in ("worker_spawned", "worker_spawned", "worker_died",
                      "worker_respawned", "cell_requeued"):
             telemetry.event(kind, pool_worker="worker-0")
         telemetry.close()
-        summary = summarize_directory(tmp_path / "t")
+        summary = summary_from_aggregate(aggregate_run(tmp_path / "t"))
         assert summary.supervision.spawned == 2
         assert summary.supervision.died == 1
         assert summary.supervision.respawned == 1
@@ -628,17 +625,14 @@ class TestSupervisionReport:
 
     def test_uneventful_run_renders_no_supervision_section(self,
                                                            tmp_path):
-        from repro.telemetry.report import (
-            render_summary,
-            summarize_directory,
-        )
+        from repro.telemetry.report import render_summary
 
         telemetry = Telemetry(tmp_path / "t", run_context=RunContext(RUN))
         # Spawns alone (no deaths, requeues, drains...) are not worth
         # a section: every parallel campaign spawns workers.
         telemetry.event("worker_spawned", pool_worker="worker-0")
         telemetry.close()
-        summary = summarize_directory(tmp_path / "t")
+        summary = summary_from_aggregate(aggregate_run(tmp_path / "t"))
         assert not summary.supervision.any
         assert "supervision" not in render_summary(summary)
 
@@ -718,13 +712,35 @@ class TestCli:
         assert main(["telemetry", "report", str(tmp_path / "t")]) == 0
         out = capsys.readouterr().out
         assert "telemetry report" in out
-        assert "run overview" not in out  # no worker dirs, plain path
+        assert "run overview" not in out  # no worker dirs, no overview
 
-    def test_missing_directory_is_a_clean_error(self, tmp_path):
+    def test_report_merged_directory_matches_root(self, tmp_path, capsys):
         from repro.experiments.cli import main
 
+        root = make_synthetic_run(tmp_path / "run")
+        assert main(["telemetry", "merge", str(root)]) == 0
+        capsys.readouterr()
+        reports = {}
+        for name, directory in (("root", root), ("merged", root / "merged")):
+            assert main(["telemetry", "report", str(directory),
+                         "--json"]) == 0
+            reports[name] = json.loads(capsys.readouterr().out)
+        assert reports["root"]["stages"]
+        assert reports["merged"]["stages"] == reports["root"]["stages"]
+
+    @pytest.mark.parametrize("action, directory", [
+        pytest.param("report", "nope", id="report-missing"),
+        pytest.param("merge", "nope", id="merge-missing"),
+        pytest.param("trace", "nope", id="trace-missing"),
+        pytest.param("report", "empty", id="report-empty"),
+    ])
+    def test_missing_directory_is_a_clean_error(self, tmp_path, action,
+                                                directory):
+        from repro.experiments.cli import main
+
+        (tmp_path / "empty").mkdir()
         with pytest.raises(SystemExit, match="no telemetry"):
-            main(["telemetry", "merge", str(tmp_path / "nope")])
+            main(["telemetry", action, str(tmp_path / directory)])
 
 
 # ----------------------------------------------------------------------
