@@ -15,13 +15,24 @@ Results are exact: a design's full hierarchy run would produce the same
 statistics, because the upper levels' behaviour does not depend on what
 sits below them (caches are inclusive-of-nothing here — no back
 invalidations, as in the paper's simulator).
+
+With a trace cache, step 2 runs once per workload across processes and
+runs, not once per runner: the capture is saved beside the trace (a
+filtered trace, in the trace-stripping sense) and every later
+:meth:`Runner.prepare` loads it instead of re-simulating L1–L3.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, field, replace
+from functools import cache, cached_property
+from pathlib import Path
+from typing import Callable
 
+from repro._version import __version__
 from repro.cache.hierarchy import Hierarchy, drain_chain, run_chain
 from repro.cache.mainmem import MainMemory
 from repro.cache.stats import HierarchyStats, LevelStats
@@ -29,7 +40,7 @@ from repro.designs.base import MemoryDesign, ReferenceSystem
 from repro.designs.configs import DEFAULT_SCALE, NDM_DRAM_CAPACITY
 from repro.designs.ndm import NDMDesign
 from repro.designs.reference import ReferenceDesign
-from repro.experiments.simplan import SimPlan, sim_key
+from repro.experiments.simplan import SimPlan, config_key, sim_key
 from repro.model.evaluate import (
     Evaluation,
     RawEvaluation,
@@ -78,6 +89,26 @@ def _with_memory_names(
     )
 
 
+@cache
+def _simulator_digest() -> str:
+    """SHA-256 over the sources that produce a post-L3 capture.
+
+    The cache package, the sampling helpers and this module: a saved
+    L1–L3 result is stale once any of them changes, even when the
+    package version does not.
+    """
+    import repro.cache
+    import repro.experiments.sampling as sampling
+
+    sources = sorted(Path(repro.cache.__file__).parent.glob("*.py"))
+    sources += [Path(sampling.__file__), Path(__file__)]
+    digest = hashlib.sha256()
+    for source in sources:
+        digest.update(source.name.encode() + b"\0")
+        digest.update(source.read_bytes())
+    return digest.hexdigest()
+
+
 class CapturingMemory(MainMemory):
     """Terminal device that records every arriving request.
 
@@ -100,7 +131,10 @@ class WorkloadTrace:
 
     Attributes:
         workload: the workload instance.
-        result: the traced run (stream + tracer + algorithm checks).
+        result: the traced run (stream + tracer + algorithm checks),
+            produced by ``load_result`` on first access. When
+            :meth:`Runner.prepare` reused a saved post-L3 capture, that
+            is the first time the trace is opened.
         upper_stats: L1/L2/L3 statistics (shared by every design).
             Extrapolated to the whole stream when sampling.
         references: program reference count (Eq. 2 denominator).
@@ -122,7 +156,7 @@ class WorkloadTrace:
     """
 
     workload: Workload
-    result: TraceResult
+    load_result: Callable[[], TraceResult] = field(repr=False, compare=False)
     upper_stats: list[LevelStats]
     references: int
     post_l3: AddressStream
@@ -131,6 +165,67 @@ class WorkloadTrace:
     sample_factor: float = 1.0
     sample_fidelity: float = 1.0
     post_l3_segments: list[tuple[int, bool]] | None = None
+
+    @cached_property
+    def result(self) -> TraceResult:
+        return self.load_result()
+
+
+@dataclass
+class _UpperRun:
+    """What the shared L1–L3 simulation of one trace produced.
+
+    Attributes:
+        stats: raw upper-level statistics (before local-reference
+            injection; extrapolated when sampling).
+        references: raw program reference count (extrapolated when
+            sampling).
+        post_l3: the captured post-L3 request stream.
+        events: events in the trace.
+        traced_footprint_bytes: footprint of the traced run.
+        factor / fidelity / segments: the sampling extrapolation factor,
+            measured fraction and segment plan (``1.0, 1.0, None`` for
+            exact runs).
+    """
+
+    stats: list[LevelStats]
+    references: int
+    post_l3: AddressStream
+    events: int
+    traced_footprint_bytes: int
+    factor: float = 1.0
+    fidelity: float = 1.0
+    segments: list[tuple[int, bool]] | None = None
+
+    def record(self, key: str) -> dict:
+        """The JSON record saved beside the capture."""
+        return {
+            "key": key,
+            "stats": [asdict(level) for level in self.stats],
+            "references": self.references,
+            "events": self.events,
+            "traced_footprint_bytes": self.traced_footprint_bytes,
+            "factor": self.factor,
+            "fidelity": self.fidelity,
+            "segments": self.segments,
+        }
+
+    @classmethod
+    def from_record(cls, record: dict, post_l3: AddressStream) -> "_UpperRun":
+        segments = record["segments"]
+        return cls(
+            stats=[LevelStats(**level) for level in record["stats"]],
+            references=int(record["references"]),
+            post_l3=post_l3,
+            events=int(record["events"]),
+            traced_footprint_bytes=int(record["traced_footprint_bytes"]),
+            factor=float(record["factor"]),
+            fidelity=float(record["fidelity"]),
+            segments=(
+                None if segments is None
+                else [(int(n), bool(m)) for n, m in segments]
+            ),
+        )
 
 
 #: Default ratio of local (stack/temporary) references to traced data
@@ -154,7 +249,8 @@ _LOCAL_BITS: int = 64
 
 
 class Runner:
-    """Evaluates designs across workloads with shared-prefix caching.
+    """Evaluates designs across workloads, simulating the shared SRAM
+    levels (L1–L3) once per workload.
 
     Args:
         scale: capacity/footprint scale (DESIGN.md §4).
@@ -258,7 +354,8 @@ class Runner:
         #: first run and reloaded (bit-exact) instead of re-executing
         #: the workload. Keyed by (workload, scale, seed); the
         #: algorithm-check dict is not persisted (reloaded runs report
-        #: ``{"cached": True}``).
+        #: ``{"cached": True}``). The L1–L3 result of each trace is
+        #: saved beside it too (see :meth:`_upper_entry`).
         self.trace_cache_dir = trace_cache_dir
         self._traces: dict[str, WorkloadTrace] = {}
         #: Stats per ``(sim_key(design), workload name)``, level names
@@ -387,49 +484,32 @@ class Runner:
         return result, cached
 
     def prepare(self, workload: Workload) -> WorkloadTrace:
-        """Trace a workload and simulate the shared SRAM prefix (cached)."""
+        """Trace a workload and simulate the shared SRAM prefix (cached).
+
+        With a trace cache, the L1–L3 simulation's result is saved
+        beside the trace (see :meth:`_upper_entry`) and loaded by every
+        later call, in any process; only the reference DRAM is then
+        replayed over the capture, and the trace itself is opened only
+        when :attr:`WorkloadTrace.result` is first used.
+        """
         key = workload.name
         if key in self._traces:
             return self._traces[key]
         telemetry = self._telemetry()
         prepare_span = telemetry.span("runner.prepare", workload=key)
         with prepare_span:
-            result, cached = self.trace_only(workload)
-            upper = self.reference.build_caches(self.scale, engine=self._sim_engine)
-            capture = CapturingMemory()
-            hierarchy = Hierarchy(upper, capture)
-            factor, fidelity, segments = 1.0, 1.0, None
-            if self.sample is None:
-                collector = None
-                if telemetry.enabled:
-                    collector = telemetry.window_collector(
-                        f"upper-{key}", lambda: hierarchy.stats().levels
-                    )
-                    hierarchy.observer = collector
-                with telemetry.span("runner.upper_sim", workload=key):
-                    # drain=True flushes L1-L3 at end of stream; the flush
-                    # traffic lands in the captured post-L3 stream *in
-                    # hierarchy drain order*, so suffix replays stay
-                    # bit-exact against a full Hierarchy.run(drain=True).
-                    hierarchy.run(result.stream, drain=self.drain)
-                if collector is not None:
-                    telemetry.finish_collector(collector)
-                upper_raw = [cache.stats for cache in upper]
-                references_raw = hierarchy.references
+            upper = self._load_upper(workload)
+            upper_cached = upper is not None
+            if upper is None:
+                result, trace_cached = self.trace_only(workload)
+                upper = self._simulate_upper(workload, result.stream)
+                self._store_upper(workload, upper)
+                load_result = lambda: result  # noqa: E731
             else:
-                with telemetry.span(
-                    "runner.upper_sim", workload=key, sampled=True
-                ):
-                    upper_raw, references_raw, factor, fidelity, segments = (
-                        self._run_upper_sampled(
-                            hierarchy, upper, capture, result.stream
-                        )
-                    )
-            telemetry.counter("repro_references_simulated_total").inc(
-                hierarchy.references
-            )
+                trace_cached = True
+                load_result = lambda: self.trace_only(workload)[0]  # noqa: E731
             upper_stats, references = self._inject_locals(
-                upper_raw, references_raw
+                upper.stats, upper.references
             )
 
             # The reference design's DRAM sees exactly the post-L3 stream.
@@ -437,8 +517,8 @@ class Runner:
                 scale=self.scale, reference=self.reference, engine=self._sim_engine
             )
             dram = ref_design.memory()
-            if segments is None:
-                for chunk in capture.captured.chunks():
+            if upper.segments is None:
+                for chunk in upper.post_l3.chunks():
                     dram.process(chunk)
                 dram_stats = [dram.stats]
             else:
@@ -452,7 +532,7 @@ class Runner:
 
                 acc = None
                 for batch, measured in iter_recorded_segments(
-                    capture.captured, segments
+                    upper.post_l3, upper.segments
                 ):
                     if measured:
                         before = snapshot_levels([dram.stats])
@@ -463,7 +543,7 @@ class Runner:
                         )
                 dram_stats = scale_levels(
                     acc if acc is not None else snapshot_levels([dram.stats]),
-                    factor,
+                    upper.factor,
                 )
             ref_stats = HierarchyStats(
                 levels=upper_stats + dram_stats, references=references
@@ -475,41 +555,183 @@ class Runner:
             )
             trace = WorkloadTrace(
                 workload=workload,
-                result=result,
+                load_result=load_result,
                 upper_stats=upper_stats,
                 references=references,
-                post_l3=capture.captured,
+                post_l3=upper.post_l3,
                 ref_raw=ref_raw,
-                traced_footprint_bytes=result.stream.stats().footprint_bytes,
-                sample_factor=factor,
-                sample_fidelity=fidelity,
-                post_l3_segments=segments,
+                traced_footprint_bytes=upper.traced_footprint_bytes,
+                sample_factor=upper.factor,
+                sample_fidelity=upper.fidelity,
+                post_l3_segments=upper.segments,
             )
             self._traces[key] = trace
             self._design_stats[(sim_key(ref_design), key)] = ref_stats
             telemetry.gauge(
                 "repro_captured_stream_requests", stage="post_l3", workload=key
-            ).set(len(capture.captured))
+            ).set(len(upper.post_l3))
             telemetry.gauge(
                 "repro_captured_stream_nbytes", stage="post_l3", workload=key
-            ).set(capture.captured.nbytes)
+            ).set(upper.post_l3.nbytes)
         logger.info(
-            "prepared %s: %s post-L3 requests, AMAT_ref %.2f ns (%.1fs)",
-            workload.name, f"{len(capture.captured):,}",
+            "prepared %s: %s post-L3 requests%s, AMAT_ref %.2f ns (%.1fs)",
+            workload.name, f"{len(upper.post_l3):,}",
+            " (cached)" if upper_cached else "",
             ref_raw.amat_ns, prepare_span.duration_s,
         )
         telemetry.event(
             "workload_prepared",
             workload=key,
-            events=len(result.stream),
-            post_l3_requests=len(capture.captured),
-            post_l3_nbytes=capture.captured.nbytes,
+            events=upper.events,
+            post_l3_requests=len(upper.post_l3),
+            post_l3_nbytes=upper.post_l3.nbytes,
             references=references,
-            trace_cached=cached,
+            trace_cached=trace_cached,
+            upper_cached=upper_cached,
             sample_fidelity=round(trace.sample_fidelity, 6),
             duration_s=round(prepare_span.duration_s, 6),
         )
         return trace
+
+    def _simulate_upper(
+        self, workload: Workload, stream: AddressStream
+    ) -> _UpperRun:
+        """Run a trace through the shared L1–L3, capturing what leaves L3."""
+        telemetry = self._telemetry()
+        key = workload.name
+        upper = self.reference.build_caches(self.scale, engine=self._sim_engine)
+        capture = CapturingMemory()
+        hierarchy = Hierarchy(upper, capture)
+        factor, fidelity, segments = 1.0, 1.0, None
+        if self.sample is None:
+            collector = None
+            if telemetry.enabled:
+                collector = telemetry.window_collector(
+                    f"upper-{key}", lambda: hierarchy.stats().levels
+                )
+                hierarchy.observer = collector
+            with telemetry.span("runner.upper_sim", workload=key):
+                # drain=True flushes L1-L3 at end of stream; the flush
+                # traffic lands in the captured post-L3 stream *in
+                # hierarchy drain order*, so suffix replays stay
+                # bit-exact against a full Hierarchy.run(drain=True).
+                hierarchy.run(stream, drain=self.drain)
+            if collector is not None:
+                telemetry.finish_collector(collector)
+            stats = [cache.stats for cache in upper]
+            references = hierarchy.references
+        else:
+            with telemetry.span(
+                "runner.upper_sim", workload=key, sampled=True
+            ):
+                stats, references, factor, fidelity, segments = (
+                    self._run_upper_sampled(
+                        hierarchy, upper, capture, stream
+                    )
+                )
+        telemetry.counter("repro_references_simulated_total").inc(
+            hierarchy.references
+        )
+        return _UpperRun(
+            stats=stats,
+            references=references,
+            post_l3=capture.captured,
+            events=len(stream),
+            traced_footprint_bytes=stream.stats().footprint_bytes,
+            factor=factor,
+            fidelity=fidelity,
+            segments=segments,
+        )
+
+    # ------------------------------------------------------------------
+    # The saved post-L3 capture
+    # ------------------------------------------------------------------
+
+    def _upper_entry(self, workload: Workload) -> tuple[str, str] | None:
+        """Name and key of the workload's saved L1–L3 result.
+
+        The entry is a capture (:func:`~repro.trace.io.save_capture`)
+        named ``<trace name>.upper-<key[:16]>``. The key hashes
+        everything the L1–L3 simulation depends on: the package
+        version and the simulator's sources (:func:`_simulator_digest`),
+        the trace store's SHA-256 (read from its sidecar),
+        each upper level's
+        :func:`~repro.experiments.simplan.config_key` (which covers
+        scale and reference system, and leaves out the bit-identical
+        engine choice), ``drain`` and the sample spec. The local-
+        reference factor is applied after loading, so it is not part
+        of the key. None without a trace cache or a stored trace.
+        """
+        if not self.trace_cache_dir:
+            return None
+        from repro.trace.io import artifact_digest
+
+        name = self._cache_name(workload)
+        digest = artifact_digest(
+            Path(self.trace_cache_dir) / f"{name}.stream.rts"
+        )
+        if digest is None:
+            return None
+        identity = {
+            "version": __version__,
+            "simulator": _simulator_digest(),
+            "trace_sha256": digest,
+            "upper": [
+                repr(config_key(c))
+                for c in self.reference.scaled_configs(self.scale)
+            ],
+            "drain": self.drain,
+            "sample": self.sample.key if self.sample is not None else None,
+        }
+        key = hashlib.sha256(
+            json.dumps(identity, sort_keys=True).encode()
+        ).hexdigest()
+        return f"{name}.upper-{key[:16]}", key
+
+    def _load_upper(self, workload: Workload) -> _UpperRun | None:
+        """The saved L1–L3 result, or None when absent or corrupt.
+
+        A corrupt entry is deleted, so the caller's re-simulation
+        rewrites it.
+        """
+        entry = self._upper_entry(workload)
+        if entry is None:
+            return None
+        from repro.errors import TraceError
+        from repro.trace.io import discard_capture, load_capture
+
+        name, key = entry
+        try:
+            with self._telemetry().span(
+                "runner.upper_load", workload=workload.name
+            ):
+                loaded = load_capture(self.trace_cache_dir, name)
+            if loaded is None:
+                return None
+            stream, record = loaded
+            if record.get("key") != key:
+                raise TraceError(f"capture {name} records another key")
+            return _UpperRun.from_record(record, stream)
+        except (TraceError, AttributeError, KeyError, TypeError,
+                ValueError) as exc:
+            removed = discard_capture(self.trace_cache_dir, name)
+            logger.warning(
+                "discarded corrupt post-L3 capture for %s (%s; removed %d "
+                "files), re-simulating", workload.name, exc, len(removed),
+            )
+            return None
+
+    def _store_upper(self, workload: Workload, upper: _UpperRun) -> None:
+        """Save an L1–L3 result for later runs (with a trace cache)."""
+        entry = self._upper_entry(workload)
+        if entry is None:
+            return
+        from repro.trace.io import save_capture
+
+        name, key = entry
+        save_capture(
+            upper.post_l3, upper.record(key), self.trace_cache_dir, name
+        )
 
     def _run_upper_sampled(
         self,

@@ -199,18 +199,33 @@ class RunAggregate:
 
     def stage_digests(self) -> list[StageWindows]:
         """Per-stage window digests; a stage merges by context across
-        workers."""
-        by_context: dict[str, list[WindowRecord]] = {}
+        workers.
+
+        Every source's run of a stage counts: windows, refs and level
+        counters are all summed over the ``(run, worker)`` sources that
+        ran it, so a stage's refs always cover its level counters.
+        """
+        by_context: dict[str, dict[tuple[str, str], list[WindowRecord]]] = {}
         for row in self.windows:
-            by_context.setdefault(row.context, []).append(row.record)
+            by_context.setdefault(row.context, {}).setdefault(
+                (row.run, row.worker), []
+            ).append(row.record)
         return [
             StageWindows(
                 context=context,
-                windows=max(record.index for record in records) + 1,
-                refs=max(record.end_refs for record in records),
-                levels=_fold_levels(records),
+                windows=sum(
+                    max(record.index for record in records) + 1
+                    for records in runs.values()
+                ),
+                refs=sum(
+                    max(record.end_refs for record in records)
+                    for records in runs.values()
+                ),
+                levels=_fold_levels(
+                    record for records in runs.values() for record in records
+                ),
             )
-            for context, records in sorted(by_context.items())
+            for context, runs in sorted(by_context.items())
         ]
 
     def engine_digests(self) -> list[EngineDigest]:
@@ -1027,6 +1042,23 @@ class RunDiff:
         return not self.regressions
 
 
+def _one_sided_level(
+    kind: str, level: str, baseline: dict[str, float],
+    candidate: dict[str, float],
+) -> DiffEntry:
+    """A level only one run simulated: listed, never a regression.
+
+    Absence is not a rate of 0 (a run that loaded a saved L1–L3 result
+    simulates no L1–L3), so there is nothing to compare.
+    """
+    side = "baseline" if level in baseline else "candidate"
+    return DiffEntry(
+        kind=kind, name=level, baseline=baseline.get(level, 0.0),
+        candidate=candidate.get(level, 0.0), regression=False,
+        detail=f"simulated only in the {side} run; not compared",
+    )
+
+
 def diff_runs(
     baseline: RunAggregate,
     candidate: RunAggregate,
@@ -1036,7 +1068,8 @@ def diff_runs(
 
     Two aggregates of the *same* run (or of two identical runs) always
     produce zero regressions: every comparison is a pure function of
-    the merged artifacts.
+    the merged artifacts. A cache level's hit rate and vector fraction
+    are compared only when both runs simulated that level.
     """
     thresholds = (thresholds or DiffThresholds()).validate()
     diff = RunDiff(baseline=baseline, candidate=candidate,
@@ -1066,15 +1099,15 @@ def diff_runs(
             ),
         ))
 
-    base_levels = {d.level: d for d in baseline.level_digests()}
-    cand_levels = {d.level: d for d in candidate.level_digests()}
+    base_levels = {d.level: d.hit_rate for d in baseline.level_digests()}
+    cand_levels = {d.level: d.hit_rate for d in candidate.level_digests()}
     for level in sorted(set(base_levels) | set(cand_levels)):
-        base_rate = (
-            base_levels[level].hit_rate if level in base_levels else 0.0
-        )
-        cand_rate = (
-            cand_levels[level].hit_rate if level in cand_levels else 0.0
-        )
+        if level not in base_levels or level not in cand_levels:
+            diff.entries.append(_one_sided_level(
+                "hit_rate", level, base_levels, cand_levels
+            ))
+            continue
+        base_rate, cand_rate = base_levels[level], cand_levels[level]
         delta = cand_rate - base_rate
         regression = abs(delta) > thresholds.hit_rate_abs
         diff.entries.append(DiffEntry(
@@ -1089,8 +1122,12 @@ def diff_runs(
     base_vec = baseline.vector_fractions()
     cand_vec = candidate.vector_fractions()
     for level in sorted(set(base_vec) | set(cand_vec)):
-        base_f = base_vec.get(level, 0.0)
-        cand_f = cand_vec.get(level, 0.0)
+        if level not in base_vec or level not in cand_vec:
+            diff.entries.append(_one_sided_level(
+                "vector_fraction", level, base_vec, cand_vec
+            ))
+            continue
+        base_f, cand_f = base_vec[level], cand_vec[level]
         drop = base_f - cand_f
         regression = drop > thresholds.vector_fraction_abs
         diff.entries.append(DiffEntry(

@@ -19,6 +19,11 @@ enough to re-run every design evaluation and the NDM oracle without
 re-executing the workload; :func:`load_trace` transparently migrates
 v1 cache entries to v2 when asked.
 
+A *capture* is a derived stream saved beside its trace: a v2 store
+(``<name>.post_l3.rts``) plus a JSON record (``<name>.post_l3.json``)
+describing how it was produced (:func:`save_capture`,
+:func:`load_capture`). The runner keeps its post-L3 stream this way.
+
 Because long campaigns lean on these artifacts, writes are **atomic**
 (temp file in the destination directory + ``os.replace``) and every
 artifact gets a SHA-256 sidecar (``<artifact>.sha256``, ``sha256sum``
@@ -353,6 +358,130 @@ def load_trace(
                 path.unlink()
         stream = MappedStream.open(v2_path)
     return stream, regions
+
+
+def artifact_digest(path: str | Path) -> str | None:
+    """The SHA-256 of an artifact, or None when it does not exist.
+
+    Read from the artifact's sidecar (no pass over the data); hashed
+    afresh when the sidecar is missing or unreadable.
+    """
+    path = Path(path)
+    if not path.exists():
+        return None
+    try:
+        return checksum_path(path).read_text().split()[0]
+    except (OSError, IndexError):
+        return compute_checksum(path)
+
+
+# ----------------------------------------------------------------------
+# Captured streams
+# ----------------------------------------------------------------------
+
+
+#: Suffix of a captured stream's v2 store. Deliberately not
+#: ``.stream.rts``: a glob for a workload's trace never matches it.
+_CAPTURE_STREAM = ".post_l3.rts"
+#: Suffix of a captured stream's JSON record.
+_CAPTURE_RECORD = ".post_l3.json"
+
+
+def _capture_paths(directory: str | Path, name: str) -> tuple[Path, Path]:
+    """The (stream, record) paths of a capture saved as ``name``."""
+    directory = Path(directory)
+    return (directory / f"{name}{_CAPTURE_STREAM}",
+            directory / f"{name}{_CAPTURE_RECORD}")
+
+
+def save_capture(stream: AddressStream, record: dict,
+                 directory: str | Path, name: str) -> tuple[Path, Path]:
+    """Persist a captured stream and its JSON record as ``name``.
+
+    The stream is a v2 store; ``record`` must be JSON-serializable.
+    Both writes are atomic with SHA-256 sidecars. The record's sidecar
+    is written last, so its presence marks a complete entry.
+
+    Returns the two paths written.
+    """
+    from repro.trace.store import write_store
+
+    stream_path, record_path = _capture_paths(directory, name)
+    write_store(stream, stream_path)
+    payload = {
+        "version": _FORMAT_VERSION,
+        "stream_events": len(stream),
+        "record": record,
+    }
+    _write_artifact(record_path, json.dumps(payload, sort_keys=True).encode())
+    return stream_path, record_path
+
+
+def load_capture(
+    directory: str | Path, name: str
+) -> "tuple[MappedStream, dict] | None":
+    """Load and fully verify a capture written by :func:`save_capture`.
+
+    Returns ``(stream, record)``, or None when the entry is absent or
+    not yet complete (no record, or no record sidecar: a writer may be
+    between the two). Every chunk of the stream is verified up front,
+    so a corrupt entry fails here rather than mid-simulation.
+
+    Raises:
+        TraceIntegrityError: a missing stream or stream sidecar, a
+            digest mismatch, a truncated or unreadable file, or a
+            record that does not describe its stream.
+    """
+    from repro.trace.store import MappedStream
+
+    stream_path, record_path = _capture_paths(directory, name)
+    if not checksum_path(record_path).exists():
+        return None
+    if not checksum_path(stream_path).exists():
+        raise TraceIntegrityError(f"no checksum sidecar for {stream_path}")
+    try:
+        verify_artifact(record_path)
+        payload = json.loads(record_path.read_text())
+        if payload["version"] != _FORMAT_VERSION:
+            raise TraceIntegrityError(
+                f"unsupported capture format in {record_path}"
+            )
+        events, record = int(payload["stream_events"]), payload["record"]
+    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError,
+            UnicodeDecodeError) as exc:
+        raise TraceIntegrityError(
+            f"corrupt capture record {record_path} "
+            f"({type(exc).__name__}: {exc})"
+        ) from exc
+    try:
+        stream = MappedStream.open(stream_path)
+        stream.verify()
+    except OSError as exc:
+        raise TraceIntegrityError(
+            f"unreadable capture {stream_path} ({type(exc).__name__}: {exc})"
+        ) from exc
+    if len(stream) != events:
+        raise TraceIntegrityError(
+            f"capture {stream_path} holds {len(stream)} events, its record "
+            f"says {events}"
+        )
+    return stream, record
+
+
+def discard_capture(directory: str | Path, name: str) -> list[Path]:
+    """Delete a saved capture and its sidecars; returns what was removed.
+
+    Files another process removed first are skipped.
+    """
+    removed = []
+    for artifact in _capture_paths(directory, name):
+        for path in (artifact, checksum_path(artifact)):
+            try:
+                path.unlink()
+            except FileNotFoundError:
+                continue
+            removed.append(path)
+    return removed
 
 
 def discard_trace(directory: str | Path, name: str) -> list[Path]:

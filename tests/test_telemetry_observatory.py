@@ -369,6 +369,39 @@ class TestConservation:
         loads = dict(zip(WINDOW_FIELDS, range(len(WINDOW_FIELDS))))
         assert digest.accesses == 2 * (loads["loads"] + loads["stores"])
 
+    def test_stage_refs_cover_counters_of_every_worker(self, tmp_path):
+        # Two sweep workers without a shared trace cache each simulate
+        # the same stages (upper-CG and the designs' lower chains).
+        from repro.designs.configs import N_CONFIGS
+        from repro.designs.nmm import NMMDesign
+        from repro.designs.reference import ReferenceDesign
+        from repro.experiments.runner import Runner
+        from repro.tech.params import PCM
+        from repro.workloads.registry import get_workload
+
+        scale = 1.0 / 8192
+        root = tmp_path / "run"
+        for worker in ("worker-0", "worker-1"):
+            telemetry = Telemetry(
+                root / worker, run_context=RunContext(RUN).child(worker)
+            )
+            runner = Runner(scale=scale, seed=4, telemetry=telemetry)
+            for design in (
+                ReferenceDesign(scale=scale, reference=runner.reference),
+                NMMDesign(PCM, N_CONFIGS["N6"], scale=scale,
+                          reference=runner.reference),
+            ):
+                runner.evaluate(design, get_workload("CG"))
+            telemetry.close()
+
+        stages = aggregate_run(root).stage_digests()
+        assert {s.context for s in stages} >= {"upper-CG"}
+        for stage in stages:
+            # Each worker's run is counted once on both sides.
+            assert stage.levels[0].accesses == stage.refs, stage.context
+        one_worker = aggregate_run(root / "worker-0").stage_digests()
+        assert [2 * s.refs for s in one_worker] == [s.refs for s in stages]
+
     def test_kind_conflict_refuses_to_merge(self, tmp_path):
         root = make_synthetic_run(tmp_path)
         text = (root / "worker-1" / "metrics.prom").read_text()
@@ -532,6 +565,45 @@ class TestDiff:
                                row.record.load_hits + 1)
         assert not diff_runs(base, moved).ok
         assert not diff_runs(moved, base).ok  # a *rise* also flags
+
+    def test_cold_and_warm_trace_cache_runs_diff_clean(self, tmp_path):
+        # The warm run loads the cold run's saved L1–L3 result, so it
+        # simulates (and reports) no L1–L3 at all: those levels are
+        # listed, not scored as a hit rate of 0.
+        from repro.designs.configs import N_CONFIGS
+        from repro.designs.nmm import NMMDesign
+        from repro.experiments.runner import Runner
+        from repro.tech.params import PCM
+        from repro.workloads.registry import get_workload
+
+        roots = {}
+        for name in ("cold", "warm"):
+            roots[name] = tmp_path / name
+            telemetry = Telemetry(roots[name])
+            runner = Runner(scale=1.0 / 8192, seed=4, telemetry=telemetry,
+                            trace_cache_dir=str(tmp_path / "cache"))
+            runner.evaluate(
+                NMMDesign(PCM, N_CONFIGS["N6"], scale=runner.scale,
+                          reference=runner.reference),
+                get_workload("CG"),
+            )
+            telemetry.close()
+        diff = diff_runs(
+            aggregate_run(roots["cold"]), aggregate_run(roots["warm"]),
+            DiffThresholds(span_pct=400.0, span_min_s=5.0),
+        )
+        assert diff.ok, render_diff(diff)
+        one_sided = {
+            (e.kind, e.name) for e in diff.entries
+            if e.detail.endswith("not compared")
+        }
+        assert ("hit_rate", "L1") in one_sided
+        assert ("hit_rate", "L3") in one_sided
+        compared = {
+            e.name for e in diff.entries
+            if e.kind == "hit_rate" and (e.kind, e.name) not in one_sided
+        }
+        assert compared  # the design's own levels are still compared
 
     def test_vector_fraction_only_drops_regress(self, tmp_path):
         root = make_synthetic_run(tmp_path)
